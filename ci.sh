@@ -54,6 +54,17 @@ echo "==> threaded train smoke (Fig. 2 CTR recipe on threads:4, oracle-replayed)
 cargo run -q --release -p het-bench --bin hetctl -- train \
     --backend threads:4 --workload wdl --iters 240 --dim 32
 
+echo "==> threaded train refuses sim-only flags (--lookahead must fail, not be dropped)"
+if out=$(cargo run -q --release -p het-bench --bin hetctl -- train \
+        --backend threads:2 --workload wdl --iters 40 --dim 8 --lookahead 2 2>&1); then
+    echo "threads:2 --lookahead 2 exited 0; expected a refusal"
+    exit 1
+fi
+case "$out" in
+    *"--backend sim"*) ;;
+    *) echo "unexpected error: $out"; exit 1 ;;
+esac
+
 echo "==> threaded colocate smoke (live trainer + serving fleet on real threads)"
 cargo run -q --release -p het-bench --bin hetctl -- colocate \
     --backend threads:2 --iters 120 --requests 200
@@ -129,5 +140,23 @@ step_start=$(date +%s)
 cargo run -q --release -p het-bench --bin hetctl -- policy-shootout \
     --iters 240 --requests 2400 --gate 0.05
 echo "    [timing] policy shootout: $(($(date +%s) - step_start))s"
+
+# The benchmark (BENCHMARK.json, perfbench/) builds against the
+# crates' public API; a short run of each workload catches API drift
+# and output-check failures. run.py exits 0 on `"correct": false`, so
+# the verdict is read from its last stdout line (the result object).
+echo "==> benchmark guard (every perfbench workload builds, runs, and checks correct)"
+for workload in train-sim train-threads serve-tiered; do
+    step_start=$(date +%s)
+    result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        | tail -n 1)
+    python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" || {
+        echo "perfbench $workload failed its checks: $result"
+        exit 1
+    }
+    echo "    [timing] perfbench $workload: $(($(date +%s) - step_start))s"
+done
 
 echo "CI green."

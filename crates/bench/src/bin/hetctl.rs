@@ -328,13 +328,12 @@ fn dump_fault_plan(args: &Args, plan: &het_simnet::FaultPlan) -> Result<(), Stri
     Ok(())
 }
 
-fn run_one(
-    workload: Workload,
-    preset: SystemPreset,
-    args: &Args,
-    traced: bool,
-) -> Result<(RunSummary, TrainReport, Option<het_trace::TraceLog>), String> {
-    let workers: usize = args.get_parsed("workers", 8)?;
+/// The `train` flags as a [`TrainerConfig`] tweak, shared by both
+/// backends: `workers` is `--workers` on the sim and n on
+/// `threads:<n>`. Sim-only settings (lookahead, faults) pass through
+/// unchanged, so `Trainer::run_threaded` refuses them rather than this
+/// driver silently dropping them.
+fn train_tweak(args: &Args, workers: usize) -> Result<impl Fn(&mut TrainerConfig), String> {
     let servers: usize = args.get_parsed("servers", 1)?;
     let dim: usize = args.get_parsed("dim", 16)?;
     let iters: u64 = args.get_parsed("iters", 1_600)?;
@@ -346,8 +345,7 @@ fn run_one(
     let lookahead: u64 = args.get_parsed("lookahead", 0)?;
     let store = store_spec_of(args.get("store").unwrap_or("mem"))?;
     let faults = fault_config_of(args)?;
-
-    let tweak = move |c: &mut TrainerConfig| {
+    Ok(move |c: &mut TrainerConfig| {
         c.cluster = match band.as_str() {
             "10gbe" => ClusterSpec::cluster_b(workers, servers),
             _ => ClusterSpec::cluster_a(workers, servers),
@@ -365,7 +363,16 @@ fn run_one(
         c.lookahead_depth = lookahead;
         c.store = store.clone();
         c.faults = faults.clone();
-    };
+    })
+}
+
+fn run_one(
+    workload: Workload,
+    preset: SystemPreset,
+    args: &Args,
+    traced: bool,
+) -> Result<(RunSummary, TrainReport, Option<het_trace::TraceLog>), String> {
+    let tweak = train_tweak(args, args.get_parsed("workers", 8)?)?;
     let (report, log) = if traced {
         let (report, log) = run_workload_traced(workload, preset, &tweak);
         (report, Some(log))
@@ -398,8 +405,9 @@ fn print_parallel_report(workload: Workload, report: &het_core::ParallelReport) 
     }
 }
 
-/// A training run on the threaded backend: same flags as the sim path
-/// (minus the sim-only ones), one OS thread per worker. The run always
+/// A training run on the threaded backend: same flags as the sim path,
+/// one OS thread per worker; the sim-only ones make the run fail with
+/// a pointer back at `--backend sim`. The run always
 /// collects a merged per-thread trace and replays it through the
 /// model-based oracle before reporting — every threaded run is checked
 /// against the consistency model, not just timed.
@@ -409,39 +417,7 @@ fn run_one_threaded(
     args: &Args,
     n_threads: usize,
 ) -> Result<(), String> {
-    let servers: usize = args.get_parsed("servers", 1)?;
-    let dim: usize = args.get_parsed("dim", 16)?;
-    let iters: u64 = args.get_parsed("iters", 1_600)?;
-    let cache_frac: f64 = args.get_parsed("cache-frac", 0.10)?;
-    let policy = policy_of(args.get("policy").unwrap_or("lightlfu"))?;
-    let band = args.get("network").unwrap_or("1gbe").to_string();
-    let target: f64 = args.get_parsed("target", -1.0)?;
-    let lr: f64 = args.get_parsed("lr", -1.0)?;
-    let store = store_spec_of(args.get("store").unwrap_or("mem"))?;
-    let faults = fault_config_of(args)?;
-    if faults.enabled {
-        return Err(
-            "the threaded backend does not support fault injection; use --backend sim".to_string(),
-        );
-    }
-
-    let tweak = move |c: &mut TrainerConfig| {
-        c.cluster = match band.as_str() {
-            "10gbe" => ClusterSpec::cluster_b(n_threads, servers),
-            _ => ClusterSpec::cluster_a(n_threads, servers),
-        };
-        c.dim = dim;
-        c.max_iterations = iters;
-        c.eval_every = (iters / 4).max(1);
-        if target > 0.0 {
-            c.target_metric = Some(target);
-        }
-        if lr > 0.0 {
-            c.lr = lr as f32;
-        }
-        *c = c.clone().with_cache(cache_frac, policy);
-        c.store = store.clone();
-    };
+    let tweak = train_tweak(args, n_threads)?;
     let meta = vec![
         (
             "kind".to_string(),
@@ -547,6 +523,19 @@ fn print_threaded_serve_report(report: &het_serve::ThreadedServeReport) {
     println!("score mean        {:.4}", report.score_mean);
 }
 
+/// Refuses the `serve`/`colocate` flags only `--backend sim` honours.
+fn refuse_sim_only_flags(args: &Args, command: &str) -> Result<(), String> {
+    if TraceArgs::of(args).requested() {
+        return Err(format!(
+            "--trace/--trace-chrome on {command} are sim-only; use --backend sim"
+        ));
+    }
+    if args.get("fault-plan").is_some() || args.get("fault-plan-dump").is_some() {
+        return Err("--fault-plan[-dump] is sim-only; use --backend sim".into());
+    }
+    Ok(())
+}
+
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use het_serve::{ServeConfig, ServeSim};
 
@@ -596,12 +585,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         // One OS thread per replica; the sim-only machinery (faults,
         // supervision, scripted plans, traces) stays on `--backend sim`
         // — `run_threaded_serve` rejects what slips past these checks.
-        if TraceArgs::of(args).requested() {
-            return Err("--trace/--trace-chrome on serve are sim-only; use --backend sim".into());
-        }
-        if args.get("fault-plan").is_some() || args.get("fault-plan-dump").is_some() {
-            return Err("--fault-plan[-dump] is sim-only; use --backend sim".into());
-        }
+        refuse_sim_only_flags(args, "serve")?;
         cfg.n_replicas = n;
         let (n_fields, dim) = (cfg.n_fields, cfg.dim);
         let report = het_serve::run_threaded_serve(cfg, n, move |rng| {
@@ -760,14 +744,7 @@ fn cmd_colocate(args: &Args) -> Result<(), String> {
         // Trainer workers and serving replicas each get a real OS
         // thread, sharing one live PS fabric; `threads:<n>` sizes the
         // trainer side, `--replicas` the fleet.
-        if TraceArgs::of(args).requested() {
-            return Err(
-                "--trace/--trace-chrome on colocate are sim-only; use --backend sim".into(),
-            );
-        }
-        if args.get("fault-plan").is_some() || args.get("fault-plan-dump").is_some() {
-            return Err("--fault-plan[-dump] is sim-only; use --backend sim".into());
-        }
+        refuse_sim_only_flags(args, "colocate")?;
         train_cfg.cluster = ClusterSpec::cluster_a(n, servers);
         let mut trainer = Trainer::new(train_cfg, CtrDataset::new(CtrConfig::tiny(seed)), |rng| {
             het_models::WideDeep::new(rng, 4, 8, &[16])

@@ -29,6 +29,7 @@ use crate::config::{Backbone, DenseSync, SparseMode, SyncMode, TrainerConfig};
 use crate::fault::{FaultContext, FaultRecord, FaultStats};
 use crate::prefetch::{PrefetchAudit, PrefetchOrder, PrefetchPlane, Prefetcher};
 use crate::report::{ConvergencePoint, TimeBreakdown, TrainReport};
+use crate::retry::RetryPolicy;
 use het_data::Key;
 use het_models::{Dataset, EmbeddingModel, EmbeddingStore, EvalChunk, ModelBatch, SparseGrads};
 use het_ps::{DenseStore, PsConfig, PsServer, ServerHandle, ShardCheckpointStore};
@@ -78,6 +79,220 @@ impl IterTiming {
             self.read + self.compute + self.write
         }
     }
+}
+
+impl<M: EmbeddingModel> Worker<M> {
+    /// The read half of the worker step both backends run (`Het.Read`,
+    /// §3): lands any due lookahead prefetches (`prefetch`: the sim's
+    /// plane and the read's start), then resolves `keys` through the
+    /// sparse engine. Returns the embeddings and the modelled read time,
+    /// prefetch stall included.
+    fn read(
+        &mut self,
+        w: usize,
+        keys: &[Key],
+        server: &PsServer,
+        net: &Collectives,
+        prefetch: Option<(&Mutex<PrefetchPlane>, SimTime)>,
+        fault: Option<&mut FaultContext<'_>>,
+    ) -> (EmbeddingStore, SimDuration) {
+        // Land every due prefetch first, waiting out (and charging) any
+        // in-flight pull this batch needs — the unhidden remainder of
+        // the transfer is the only part the read ever pays.
+        let mut prefetch_wait = SimDuration::ZERO;
+        if let (Some((plane_rc, now)), SparseEngine::Cached(c)) = (prefetch, &mut self.sparse) {
+            let (landed, stall) = plane_rc.lock().unwrap().take_for_read(w, now, keys);
+            prefetch_wait = stall;
+            let mut installed = 0u64;
+            let mut superseded = 0u64;
+            for r in landed {
+                if c.install_prefetch_result(r.key, r.vector, r.clock, server) {
+                    installed += 1;
+                } else {
+                    superseded += 1;
+                }
+            }
+            // Installs can displace dirty rows back to the server;
+            // that write-back's disk time stalls this read.
+            prefetch_wait += SimDuration::from_nanos(server.take_io_ns());
+            let mut plane = plane_rc.lock().unwrap();
+            plane.note_install(installed, stall);
+            plane.note_cancelled(superseded);
+            if het_trace::enabled() && (installed > 0 || stall > SimDuration::ZERO) {
+                het_trace::event!("prefetcher", "prefetch_install",
+                    "installed" => installed,
+                    "waited_ns" => stall.as_nanos());
+            }
+        }
+        let (store, t_read) = match &mut self.sparse {
+            SparseEngine::Direct(c) => c.read(keys, server, net, &mut self.comm, fault),
+            SparseEngine::Cached(c) => c.read(keys, server, net, &mut self.comm, fault),
+            SparseEngine::Replicated => {
+                let mut store = EmbeddingStore::new(server.dim());
+                for &k in keys {
+                    store.insert(k, server.pull(k).vector);
+                }
+                // Replica reads stand for local table lookups, not a
+                // priced PS leg — keep their disk time out of request
+                // latency.
+                server.reclassify_pending_io();
+                (store, SimDuration::ZERO)
+            }
+        };
+        let t_read = prefetch_wait + t_read;
+        self.breakdown.sparse_read += t_read;
+        het_trace::span!("trainer", "read", t_read.as_nanos(), "keys" => keys.len());
+        (store, t_read)
+    }
+
+    /// The write half of the worker step both backends run (`Het.Write`):
+    /// the direct and cached engines push `grads` and return the
+    /// modelled time; the replicated engine (HET AR) hands them back for
+    /// the round's AllGather. The caller emits the `write` span.
+    fn write(
+        &mut self,
+        grads: SparseGrads,
+        server: &PsServer,
+        net: &Collectives,
+        fault: Option<&mut FaultContext<'_>>,
+    ) -> (SimDuration, Option<SparseGrads>) {
+        let t = match &mut self.sparse {
+            SparseEngine::Direct(c) => c.write(&grads, server, net, &mut self.comm, fault),
+            SparseEngine::Cached(c) => c.write(&grads, server, net, &mut self.comm, fault),
+            SparseEngine::Replicated => return (SimDuration::ZERO, Some(grads)),
+        };
+        self.breakdown.sparse_write += t;
+        (t, None)
+    }
+
+    /// Dense PS path: push this replica's gradients to the dense store,
+    /// pull fresh parameters. Returns the modelled time.
+    fn dense_ps_sync(&mut self, store: &DenseStore, net: &Collectives) -> SimDuration {
+        let mut grads = FlatGrads::new();
+        grads.export_from(&mut self.model);
+        store.push(grads.as_slice());
+        let (params, _version) = store.pull();
+        FlatParams::from_vec(params).import_into(&mut self.model);
+        self.model.zero_grads();
+
+        let bytes = wire::dense_transfer_bytes(grads.len());
+        self.comm.record(CommCategory::DensePs, bytes);
+        self.comm.record(CommCategory::DensePs, bytes);
+        let t = net.ps_transfer(bytes) * 2;
+        self.breakdown.dense_sync += t;
+        het_trace::span!("trainer", "dense_sync", t.as_nanos(), "bytes" => bytes * 2);
+        t
+    }
+
+    /// Accounts this worker's share of HET AR's sparse AllGather;
+    /// returns its block's wire size.
+    fn record_allgather(&mut self, grads: &SparseGrads, dim: usize, net: &Collectives) -> u64 {
+        let block = wire::sparse_allgather_block_bytes(grads.len(), dim);
+        let bytes = net.allgather_bytes_per_worker(block);
+        if bytes > 0 {
+            self.comm.record(CommCategory::SparseAllGather, bytes);
+        }
+        block
+    }
+
+    /// Steps this replica with the round's averaged dense gradient and
+    /// accounts its share of the ring AllReduce.
+    fn apply_dense_mean(&mut self, mean: &FlatGrads, sgd: &Sgd, net: &Collectives) {
+        mean.import_into(&mut self.model);
+        sgd.step(&mut self.model);
+        let bytes = (mean.len() * wire::F32_BYTES as usize) as u64;
+        let per_worker = net.ring_allreduce_bytes_per_worker(bytes);
+        if per_worker > 0 {
+            self.comm.record(CommCategory::DenseAllReduce, per_worker);
+        }
+    }
+
+    /// Evaluates this replica against the held-out split: its dense
+    /// model, and its *cache view* of the embeddings where resident
+    /// (read-my-updates — pending stale writes are visible, exactly as
+    /// they are to the training computation, and eviction bookkeeping
+    /// is untouched), falling back to the server for everything else.
+    fn evaluate<D: Dataset<Batch = M::Batch>>(
+        &self,
+        dataset: &D,
+        config: &TrainerConfig,
+        server: &PsServer,
+    ) -> f64 {
+        let cache = match &self.sparse {
+            SparseEngine::Cached(c) => Some(c.cache()),
+            _ => None,
+        };
+        let mut chunk = EvalChunk::default();
+        for b in 0..config.eval_batches {
+            let batch = dataset.test_batch((b * config.batch_size) as u64, config.batch_size);
+            let mut store = EmbeddingStore::new(config.dim);
+            for k in batch.unique_keys() {
+                let v = cache
+                    .and_then(|c| c.peek(k).map(|e| e.vector.clone()))
+                    .unwrap_or_else(|| server.pull(k).vector);
+                store.insert(k, v);
+            }
+            // Evaluation is outside the simulated clocks entirely.
+            server.reclassify_pending_io();
+            chunk.extend(self.model.evaluate(&batch, &store));
+        }
+        chunk.metric(self.model.metric_kind())
+    }
+}
+
+/// The data cursor of worker `w`'s iteration `t`: workers stride the
+/// global example sequence so shards are disjoint.
+fn data_cursor(config: &TrainerConfig, worker: usize, iteration: u64) -> u64 {
+    (iteration * config.cluster.n_workers as u64 + worker as u64) * config.batch_size as u64
+}
+
+/// The fault context of one protocol step, or `None` under an empty
+/// plan.
+fn fault_context<'a>(
+    plan: &'a FaultPlan,
+    now: SimTime,
+    worker: usize,
+    retry: RetryPolicy,
+    ops: &'a mut u64,
+    stats: &'a mut FaultStats,
+) -> Option<FaultContext<'a>> {
+    (!plan.is_empty()).then_some(FaultContext {
+        plan,
+        now,
+        worker,
+        retry,
+        ops,
+        stats,
+    })
+}
+
+/// HET AR's round tail on both backends: merges the gathered gradient
+/// blocks in worker order and applies the merged update once to the
+/// shared table. Returns the disk time the apply left pending.
+fn apply_gathered<'a>(
+    blocks: impl IntoIterator<Item = &'a SparseGrads>,
+    dim: usize,
+    server: &PsServer,
+) -> SimDuration {
+    let mut merged = SparseGrads::new(dim);
+    for g in blocks {
+        merged.merge(g);
+    }
+    for k in merged.sorted_keys() {
+        server.push_inc(k, merged.get(k).expect("merged key"));
+    }
+    SimDuration::from_nanos(server.take_io_ns())
+}
+
+/// The BSP dense gradient mean on both backends, accumulated in worker
+/// order — the float addition order that keeps them bit-identical.
+fn dense_mean<'a>(grads: impl IntoIterator<Item = &'a FlatGrads>, n: usize) -> FlatGrads {
+    let mut sum = FlatGrads::new();
+    for g in grads {
+        sum.accumulate(g);
+    }
+    sum.scale(1.0 / n as f32);
+    sum
 }
 
 /// The training simulation for one (system, model, dataset) triple.
@@ -332,16 +547,10 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         self.workers.len()
     }
 
-    /// The data cursor of worker `w`'s iteration `t`: workers stride the
-    /// global example sequence so shards are disjoint.
-    fn data_cursor(&self, worker: usize, iteration: u64) -> u64 {
-        (iteration * self.workers.len() as u64 + worker as u64) * self.config.batch_size as u64
-    }
-
     /// Public view of the data cursor, so lookahead tests can recompute
     /// exactly which batch a worker reads at a given iteration.
     pub fn data_cursor_of(&self, worker: usize, iteration: u64) -> u64 {
-        self.data_cursor(worker, iteration)
+        data_cursor(&self.config, worker, iteration)
     }
 
     /// Iterations completed by one worker.
@@ -415,7 +624,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         let to = next_read + plane.depth();
         let mut queued = false;
         for target in from..to {
-            let cursor = self.data_cursor(w, target);
+            let cursor = data_cursor(&self.config, w, target);
             let batch = self.dataset.train_batch(cursor, self.config.batch_size);
             let keys = batch.unique_keys();
             let mut issued = Vec::new();
@@ -614,62 +823,9 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         if het_trace::enabled() {
             het_trace::set_scope(now.as_nanos(), Some(w as u64));
         }
-        // Land every due prefetch first, waiting out (and charging) any
-        // in-flight pull this batch needs — the unhidden remainder of
-        // the transfer is the only part the read ever pays.
-        let mut prefetch_wait = SimDuration::ZERO;
-        if let Some(plane_rc) = plane {
-            if let SparseEngine::Cached(c) = &mut worker.sparse {
-                let (landed, stall) = plane_rc.lock().unwrap().take_for_read(w, now, keys);
-                prefetch_wait = stall;
-                let mut installed = 0u64;
-                let mut superseded = 0u64;
-                for r in landed {
-                    if c.install_prefetch_result(r.key, r.vector, r.clock, server) {
-                        installed += 1;
-                    } else {
-                        superseded += 1;
-                    }
-                }
-                // Installs can displace dirty rows back to the server;
-                // that write-back's disk time stalls this read.
-                prefetch_wait += SimDuration::from_nanos(server.take_io_ns());
-                let mut plane = plane_rc.lock().unwrap();
-                plane.note_install(installed, stall);
-                plane.note_cancelled(superseded);
-                if het_trace::enabled() && (installed > 0 || stall > SimDuration::ZERO) {
-                    het_trace::event!("prefetcher", "prefetch_install",
-                        "installed" => installed,
-                        "waited_ns" => stall.as_nanos());
-                }
-            }
-        }
-        let mut ctx = (!plan.is_empty()).then(|| FaultContext {
-            plan,
-            now,
-            worker: w,
-            retry,
-            ops: &mut worker_ops[w],
-            stats: fault_stats,
-        });
-        let (store, t_read) = match &mut worker.sparse {
-            SparseEngine::Direct(c) => c.read(keys, server, net, &mut worker.comm, ctx.as_mut()),
-            SparseEngine::Cached(c) => c.read(keys, server, net, &mut worker.comm, ctx.as_mut()),
-            SparseEngine::Replicated => {
-                let mut store = EmbeddingStore::new(server.dim());
-                for &k in keys {
-                    store.insert(k, server.pull(k).vector);
-                }
-                // Replica reads stand for local table lookups, not a
-                // priced PS leg — keep their disk time out of request
-                // latency.
-                server.reclassify_pending_io();
-                (store, SimDuration::ZERO)
-            }
-        };
-        let t_read = prefetch_wait + t_read;
-        het_trace::span!("trainer", "read", t_read.as_nanos(), "keys" => keys.len());
-        (store, t_read)
+        let mut ctx = fault_context(plan, now, w, retry, &mut worker_ops[w], fault_stats);
+        let prefetch = plane.as_deref().map(|p| (p, now));
+        worker.read(w, keys, server, net, prefetch, ctx.as_mut())
     }
 
     /// Phase 2 of an iteration: compute + sparse write. Returns the
@@ -721,25 +877,8 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         if het_trace::enabled() {
             het_trace::set_scope(now.as_nanos(), Some(w as u64));
         }
-        let mut ctx = (!plan.is_empty()).then(|| FaultContext {
-            plan,
-            now,
-            worker: w,
-            retry,
-            ops: &mut worker_ops[w],
-            stats: fault_stats,
-        });
-        let (write, gathered) = match &mut worker.sparse {
-            SparseEngine::Direct(c) => (
-                c.write(&grads, server, net, &mut worker.comm, ctx.as_mut()),
-                None,
-            ),
-            SparseEngine::Cached(c) => (
-                c.write(&grads, server, net, &mut worker.comm, ctx.as_mut()),
-                None,
-            ),
-            SparseEngine::Replicated => (SimDuration::ZERO, Some(grads)),
-        };
+        let mut ctx = fault_context(plan, now, w, retry, &mut worker_ops[w], fault_stats);
+        let (write, gathered) = worker.write(grads, server, net, ctx.as_mut());
 
         // Write-behind: the dirty evictions already reached the server
         // inside `write`, but their wire time was deferred — drain it
@@ -762,9 +901,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         }
 
         worker.iterations += 1;
-        worker.breakdown.sparse_read += read_time;
         worker.breakdown.compute += compute;
-        worker.breakdown.sparse_write += write;
         het_trace::span!("trainer", "compute", compute.as_nanos(), "loss" => loss as f64);
         het_trace::span!("trainer", "write", write.as_nanos());
         (
@@ -777,66 +914,40 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         )
     }
 
-    /// ASP dense path: push gradients to the dense store, pull fresh
-    /// parameters. Returns the time spent.
-    fn dense_ps_sync(&mut self, w: usize) -> SimDuration {
-        let Trainer {
-            dense_store,
-            workers,
-            net,
-            ..
-        } = self;
-        let Some(store) = dense_store else {
+    /// Dense PS sync of worker `w`, scoped to its clock; zero without a
+    /// dense PS.
+    fn sync_dense_ps(&mut self, w: usize) -> SimDuration {
+        let Some(store) = &self.dense_store else {
             return SimDuration::ZERO;
         };
-        let worker = &mut workers[w];
+        let worker = &mut self.workers[w];
         if het_trace::enabled() {
             het_trace::set_scope(worker.clock.as_nanos(), Some(w as u64));
         }
-        let mut grads = FlatGrads::new();
-        grads.export_from(&mut worker.model);
-        store.push(grads.as_slice());
-        let (params, _version) = store.pull();
-        FlatParams::from_vec(params).import_into(&mut worker.model);
-        worker.model.zero_grads();
-
-        let bytes = wire::dense_transfer_bytes(grads.len());
-        worker.comm.record(CommCategory::DensePs, bytes);
-        worker.comm.record(CommCategory::DensePs, bytes);
-        let t = net.ps_transfer(bytes) * 2;
-        worker.breakdown.dense_sync += t;
-        het_trace::span!("trainer", "dense_sync", t.as_nanos(), "bytes" => bytes * 2);
-        t
+        worker.dense_ps_sync(store, &self.net)
     }
 
     /// BSP dense path: average gradients across workers, step each
     /// replica. Returns the AllReduce time (zero for one worker).
     fn dense_allreduce(&mut self) -> SimDuration {
-        let mut sum = FlatGrads::new();
-        let mut per_worker = Vec::with_capacity(self.workers.len());
-        for worker in &mut self.workers {
-            let mut g = FlatGrads::new();
-            g.export_from(&mut worker.model);
-            sum.accumulate(&g);
-            per_worker.push(g);
-        }
-        let n = self.workers.len() as f32;
-        sum.scale(1.0 / n);
-        let bytes = (sum.len() * wire::F32_BYTES as usize) as u64;
-        let t = self.net.ring_allreduce(bytes);
-        let per_worker_bytes = self.net.ring_allreduce_bytes_per_worker(bytes);
-        let sgd = self.sgd;
+        let per_worker: Vec<FlatGrads> = self
+            .workers
+            .iter_mut()
+            .map(|worker| {
+                let mut g = FlatGrads::new();
+                g.export_from(&mut worker.model);
+                g
+            })
+            .collect();
+        let mean = dense_mean(&per_worker, self.workers.len());
+        let t = self
+            .net
+            .ring_allreduce((mean.len() * wire::F32_BYTES as usize) as u64);
         for (i, worker) in self.workers.iter_mut().enumerate() {
             if het_trace::enabled() {
                 het_trace::set_scope(worker.clock.as_nanos(), Some(i as u64));
             }
-            sum.import_into(&mut worker.model);
-            sgd.step(&mut worker.model);
-            if per_worker_bytes > 0 {
-                worker
-                    .comm
-                    .record(CommCategory::DenseAllReduce, per_worker_bytes);
-            }
+            worker.apply_dense_mean(&mean, &self.sgd, &self.net);
             worker.breakdown.dense_sync += t;
         }
         t
@@ -846,27 +957,16 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     /// gradient block, apply the merged update once to the shared table.
     fn sparse_allgather(&mut self, gathered: Vec<SparseGrads>) -> SimDuration {
         let dim = self.config.dim;
-        let net = self.net;
-        let mut merged = SparseGrads::new(dim);
         let mut max_block = 0u64;
         for (i, (grads, worker)) in gathered.iter().zip(&mut self.workers).enumerate() {
             if het_trace::enabled() {
                 het_trace::set_scope(worker.clock.as_nanos(), Some(i as u64));
             }
-            let block = wire::sparse_allgather_block_bytes(grads.len(), dim);
-            max_block = max_block.max(block);
-            let bytes = net.allgather_bytes_per_worker(block);
-            if bytes > 0 {
-                worker.comm.record(CommCategory::SparseAllGather, bytes);
-            }
-            merged.merge(grads);
-        }
-        for k in merged.sorted_keys() {
-            self.server.push_inc(k, merged.get(k).expect("merged key"));
+            max_block = max_block.max(worker.record_allgather(grads, dim, &self.net));
         }
         // The merged apply is the gathered update landing in every
         // replica; its disk time rides the barrier it happens behind.
-        let t = net.allgather(max_block) + SimDuration::from_nanos(self.server.take_io_ns());
+        let t = self.net.allgather(max_block) + apply_gathered(&gathered, dim, &self.server);
         for worker in &mut self.workers {
             worker.breakdown.sparse_write += t;
         }
@@ -874,55 +974,79 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     }
 
     /// Evaluates the current model against the held-out split from
-    /// worker 0's point of view: its dense replica, and its *cache view*
-    /// of the embeddings where resident (read-my-updates — pending
-    /// stale writes are visible, exactly as they are to the training
-    /// computation), falling back to the server for everything else.
+    /// worker 0's point of view (see [`Worker::evaluate`]).
     pub fn evaluate_now(&mut self) -> f64 {
-        let mut chunk = EvalChunk::default();
-        for b in 0..self.config.eval_batches {
-            let batch = self
-                .dataset
-                .test_batch((b * self.config.batch_size) as u64, self.config.batch_size);
-            let keys = batch.unique_keys();
-            let store = self.resolve_eval_view(&keys);
-            chunk.extend(self.workers[0].model.evaluate(&batch, &store));
-        }
-        chunk.metric(self.workers[0].model.metric_kind())
+        self.workers[0].evaluate(&self.dataset, &self.config, &self.server)
     }
 
-    /// Worker 0's view of a key set: cached local values where resident
-    /// (without touching eviction bookkeeping), server values otherwise.
-    fn resolve_eval_view(&self, keys: &[Key]) -> EmbeddingStore {
-        let mut store = EmbeddingStore::new(self.config.dim);
-        let cache = match &self.workers[0].sparse {
-            SparseEngine::Cached(c) => Some(c.cache()),
-            _ => None,
-        };
-        for &k in keys {
-            let v = cache
-                .and_then(|c| c.peek(k).map(|e| e.vector.clone()))
-                .unwrap_or_else(|| self.server.pull(k).vector);
-            store.insert(k, v);
-        }
-        // Evaluation is outside the simulated clocks entirely.
-        self.server.reclassify_pending_io();
-        store
-    }
-
-    fn record_eval(&mut self, sim_time: SimTime) -> bool {
-        let metric = self.evaluate_now();
+    /// Mean training loss since the last evaluation, summed over workers
+    /// in worker order; resets the running sums.
+    fn take_train_loss(&mut self) -> f64 {
         let loss_sum: f64 = self.workers.iter().map(|w| w.loss_sum).sum();
         let loss_count: u64 = self.workers.iter().map(|w| w.loss_count).sum();
-        let train_loss = if loss_count > 0 {
-            loss_sum / loss_count as f64
-        } else {
-            0.0
-        };
         for w in &mut self.workers {
             w.loss_sum = 0.0;
             w.loss_count = 0;
         }
+        if loss_count > 0 {
+            loss_sum / loss_count as f64
+        } else {
+            0.0
+        }
+    }
+
+    /// The end-of-run write-back on both backends: flushes every cache
+    /// so pending updates reach the server (the paper's end-of-training
+    /// write-back). `stamp` maps a worker's clock to the trace time its
+    /// flush is scoped at.
+    fn flush_caches(&mut self, stamp: impl Fn(SimTime) -> u64) {
+        let Trainer {
+            server,
+            net,
+            workers,
+            ..
+        } = self;
+        for (i, worker) in workers.iter_mut().enumerate() {
+            if let SparseEngine::Cached(c) = &mut worker.sparse {
+                if het_trace::enabled() {
+                    het_trace::set_scope(stamp(worker.clock), Some(i as u64));
+                }
+                let waste_before = c.cache().stats().prefetch_wasted;
+                let t = c.flush(server, net, &mut worker.comm);
+                worker.breakdown.sparse_write += t;
+                worker.clock += t;
+                het_trace::span!("trainer", "flush", t.as_nanos());
+                if het_trace::enabled() {
+                    let wasted = c.cache().stats().prefetch_wasted - waste_before;
+                    if wasted > 0 {
+                        het_trace::event!("prefetcher", "prefetch_waste", "n" => wasted);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Communication, cache and time counters merged over workers.
+    fn merged_stats(&self) -> (CommStats, het_cache::CacheStats, TimeBreakdown) {
+        let mut comm = CommStats::new();
+        let mut cache = het_cache::CacheStats::default();
+        let mut breakdown = TimeBreakdown::default();
+        for worker in &self.workers {
+            comm.merge(&worker.comm);
+            if let SparseEngine::Cached(c) = &worker.sparse {
+                cache.merge(c.cache().stats());
+            }
+            breakdown.sparse_read += worker.breakdown.sparse_read;
+            breakdown.compute += worker.breakdown.compute;
+            breakdown.sparse_write += worker.breakdown.sparse_write;
+            breakdown.dense_sync += worker.breakdown.dense_sync;
+        }
+        (comm, cache, breakdown)
+    }
+
+    fn record_eval(&mut self, sim_time: SimTime) -> bool {
+        let metric = self.evaluate_now();
+        let train_loss = self.take_train_loss();
         if het_trace::enabled() {
             het_trace::set_scope(sim_time.as_nanos(), None);
             het_trace::event!("trainer", "eval",
@@ -1008,7 +1132,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         // Phase 1: reads.
         let mut pending: Vec<(M::Batch, EmbeddingStore, SimDuration)> = Vec::with_capacity(n);
         for w in 0..n {
-            let cursor = self.data_cursor(w, self.workers[w].iterations);
+            let cursor = data_cursor(&self.config, w, self.workers[w].iterations);
             let batch = self.dataset.train_batch(cursor, self.config.batch_size);
             let keys = batch.unique_keys();
             let (store, t_read) = self.do_read(w, &keys);
@@ -1036,7 +1160,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 // supported): each worker syncs; charge the max.
                 let mut max_t = SimDuration::ZERO;
                 for w in 0..n {
-                    max_t = max_t.max(self.dense_ps_sync(w));
+                    max_t = max_t.max(self.sync_dense_ps(w));
                 }
                 barrier_time += max_t;
             }
@@ -1124,14 +1248,14 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 self.workers[w].clock = t + crash_delay;
             }
         }
-        let cursor = self.data_cursor(w, self.workers[w].iterations);
+        let cursor = data_cursor(&self.config, w, self.workers[w].iterations);
         let batch = self.dataset.train_batch(cursor, self.config.batch_size);
         let keys = batch.unique_keys();
         let (store, t_read) = self.do_read(w, &keys);
         let (timing, gathered) = self.do_compute_write(w, &batch, &store, t_read);
         debug_assert!(gathered.is_none(), "replicated sparse requires BSP");
         let mut iter_time = timing.span(&self.config.system.backbone);
-        iter_time += self.dense_ps_sync(w);
+        iter_time += self.sync_dense_ps(w);
 
         let now = t + crash_delay + iter_time;
         self.workers[w].clock = now;
@@ -1188,31 +1312,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 _ => Vec::new(),
             })
             .collect();
-        let Trainer {
-            server,
-            net,
-            workers,
-            ..
-        } = &mut *self;
-        let (server, net) = (&*server, &*net);
-        for (i, worker) in workers.iter_mut().enumerate() {
-            if let SparseEngine::Cached(c) = &mut worker.sparse {
-                if het_trace::enabled() {
-                    het_trace::set_scope(worker.clock.as_nanos(), Some(i as u64));
-                }
-                let waste_before = c.cache().stats().prefetch_wasted;
-                let t = c.flush(server, net, &mut worker.comm);
-                worker.breakdown.sparse_write += t;
-                worker.clock += t;
-                het_trace::span!("trainer", "flush", t.as_nanos());
-                if het_trace::enabled() {
-                    let wasted = c.cache().stats().prefetch_wasted - waste_before;
-                    if wasted > 0 {
-                        het_trace::event!("prefetcher", "prefetch_waste", "n" => wasted);
-                    }
-                }
-            }
-        }
+        self.flush_caches(|clock| clock.as_nanos());
         let final_metric = self.evaluate_now();
         let total_sim_time = self
             .workers
@@ -1220,20 +1320,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             .map(|w| w.clock)
             .max()
             .unwrap_or(SimTime::ZERO);
-
-        let mut comm = CommStats::new();
-        let mut cache = het_cache::CacheStats::default();
-        let mut breakdown = TimeBreakdown::default();
-        for worker in &self.workers {
-            comm.merge(&worker.comm);
-            if let SparseEngine::Cached(c) = &worker.sparse {
-                cache.merge(c.cache().stats());
-            }
-            breakdown.sparse_read += worker.breakdown.sparse_read;
-            breakdown.compute += worker.breakdown.compute;
-            breakdown.sparse_write += worker.breakdown.sparse_write;
-            breakdown.dense_sync += worker.breakdown.dense_sync;
-        }
+        let (comm, cache, breakdown) = self.merged_stats();
         let examples = self.global_iterations * self.config.batch_size as u64;
         let epochs = examples as f64 / self.dataset.epoch_examples().max(1) as f64;
         // Tiered-store accounting: absent for Mem runs so their reports

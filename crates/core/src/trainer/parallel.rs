@@ -3,7 +3,15 @@
 //! [`Trainer::run`] schedules every worker on the single-threaded
 //! discrete-event runtime; this module runs the *same* training job on
 //! real OS threads — one thread per worker — behind the
-//! `--backend threads:<n>` seam (`het_runtime::ExecutionBackend`). The
+//! `--backend threads:<n>` seam (`het_runtime::ExecutionBackend`). It is
+//! a second scheduler around the same worker step, not a second copy of
+//! it: the read and write halves, the dense-PS sync, the BSP tail's
+//! sparse merge and dense gradient mean, worker 0's evaluation, the
+//! end-of-run flush and the stats merge are the functions in
+//! `trainer.rs` that the sim calls. This module owns only what differs
+//! between the backends: trace scopes at wall stamps, measured instead
+//! of modelled compute time, where spans are emitted, the per-worker
+//! loss slots, and the turnstiles, barriers and progress lock. The
 //! simulator stays the correctness oracle:
 //!
 //! * **BSP** rounds are replayed with the sim's exact server-visible
@@ -34,7 +42,8 @@
 //! Locking order (DESIGN.md §3.13): progress/phase locks → PS shard
 //! locks → trace scope. Nothing in this module takes a shard lock while
 //! holding another shard's lock, and no PS call is made while holding
-//! the progress or tail mutex.
+//! the progress lock. The round-tail mutex is only ever taken by the
+//! barrier leader, so the evaluation it runs under it blocks nobody.
 //!
 //! Not supported (rejected up front): fault injection and lookahead
 //! prefetch, both of which are defined in terms of the simulated clock.
@@ -42,15 +51,15 @@
 //! at the end (the sim backend remains the tool for async convergence
 //! curves).
 
-use super::{SparseEngine, Trainer, Worker};
-use crate::config::{DenseSync, SyncMode, TrainerConfig};
+use super::{apply_gathered, data_cursor, dense_mean, Trainer, Worker};
+use crate::config::{SyncMode, TrainerConfig};
 use crate::report::ConvergencePoint;
 use het_cache::CacheStats;
 use het_json::{Json, ToJson};
-use het_models::{Dataset, EmbeddingModel, EmbeddingStore, EvalChunk, ModelBatch, SparseGrads};
+use het_models::{Dataset, EmbeddingModel, ModelBatch, SparseGrads};
 use het_ps::{DenseStore, PsServer};
 use het_runtime::{Barrier, Turnstile, WallClock};
-use het_simnet::{wire, Collectives, CommCategory, CommStats, SimTime};
+use het_simnet::{Collectives, CommStats, SimTime};
 use het_tensor::{FlatGrads, FlatParams, Sgd};
 use het_trace::TraceLog;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -124,17 +133,29 @@ struct ThreadCtx<'a, D> {
     config: &'a TrainerConfig,
     dataset: &'a D,
     server: &'a PsServer,
+    /// The dense PS; `None` under AllReduce dense sync.
     dense_store: Option<&'a DenseStore>,
     net: Collectives,
     sgd: Sgd,
+    clock: &'a WallClock,
     n: usize,
     tracing: bool,
 }
 
-/// Leader-side BSP round accounting.
+impl<D> ThreadCtx<'_, D> {
+    /// Scopes this thread's trace to worker `w` at a fresh wall stamp.
+    fn scope(&self, w: usize) {
+        if self.tracing {
+            het_trace::set_scope(self.clock.stamp(), Some(w as u64));
+        }
+    }
+}
+
+/// What a run hands to the post-join tail: iterations run, and (BSP
+/// only) the mid-run convergence curve and target stamp.
 #[derive(Default)]
-struct BspTail {
-    rounds: u64,
+struct Progress {
+    iterations: u64,
     curve: Vec<ConvergencePoint>,
     converged_at_ns: Option<u64>,
 }
@@ -150,7 +171,6 @@ struct BspShared {
     written: Barrier,
     /// Leader tail done; followers may apply the averaged gradient.
     applied: Barrier,
-    clock: WallClock,
     stop: AtomicBool,
     /// Per-worker exported dense gradients, filled in the write phase.
     dense_slots: Mutex<Vec<Option<FlatGrads>>>,
@@ -162,7 +182,8 @@ struct BspShared {
     /// order at evaluation so the reported train loss is bit-identical
     /// to the sim's (float addition order matters).
     loss: Mutex<Vec<(f64, u64)>>,
-    tail: Mutex<BspTail>,
+    /// Round accounting, touched only by the barrier leader.
+    tail: Mutex<Progress>,
 }
 
 /// ASP/SSP progress ledger: completed iterations per worker plus the
@@ -175,7 +196,6 @@ struct AsyncProgress {
 }
 
 struct AsyncShared {
-    clock: WallClock,
     progress: Mutex<AsyncProgress>,
     cv: Condvar,
 }
@@ -204,11 +224,55 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                     .to_string(),
             );
         }
-        Ok(match self.config.system.sync {
-            SyncMode::Bsp => self.run_threaded_bsp(trace_meta),
-            SyncMode::Asp => self.run_threaded_async(None, trace_meta),
-            SyncMode::Ssp { staleness } => self.run_threaded_async(Some(staleness), trace_meta),
-        })
+        let n = self.workers.len();
+        let tracing = trace_meta.is_some();
+        let clock = WallClock::new();
+        let (logs, progress) = match self.config.system.sync {
+            SyncMode::Bsp => {
+                let shared = BspShared {
+                    read_ts: Turnstile::new(n),
+                    write_ts: Turnstile::new(n),
+                    computed: Barrier::new(n),
+                    written: Barrier::new(n),
+                    applied: Barrier::new(n),
+                    stop: AtomicBool::new(false),
+                    dense_slots: Mutex::new((0..n).map(|_| None).collect()),
+                    gathered: Mutex::new((0..n).map(|_| None).collect()),
+                    avg: Mutex::new(FlatGrads::new()),
+                    loss: Mutex::new(vec![(0.0, 0u64); n]),
+                    tail: Mutex::new(Progress::default()),
+                };
+                let logs = self.spawn_workers(&clock, tracing, |w, worker, ctx| {
+                    bsp_worker_loop(w, worker, &shared, ctx)
+                });
+                let progress = shared.tail.into_inner();
+                (logs, progress.expect("workers joined cleanly"))
+            }
+            SyncMode::Asp | SyncMode::Ssp { .. } => {
+                let staleness = match self.config.system.sync {
+                    SyncMode::Ssp { staleness } => Some(staleness),
+                    _ => None,
+                };
+                let shared = AsyncShared {
+                    progress: Mutex::new(AsyncProgress {
+                        iters: vec![0; n],
+                        global: 0,
+                    }),
+                    cv: Condvar::new(),
+                };
+                let logs = self.spawn_workers(&clock, tracing, |w, worker, ctx| {
+                    async_worker_loop(w, worker, &shared, ctx, staleness)
+                });
+                let progress = shared.progress.into_inner();
+                let iterations = progress.expect("workers joined cleanly").global;
+                let progress = Progress {
+                    iterations,
+                    ..Progress::default()
+                };
+                (logs, progress)
+            }
+        };
+        Ok(self.finish_threaded(&clock, logs, trace_meta, progress))
     }
 
     /// Worker 0's flat dense parameters, for cross-backend bit-identity
@@ -219,90 +283,16 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         flat.into_vec()
     }
 
-    fn run_threaded_bsp(&mut self, trace_meta: Option<Vec<(String, Json)>>) -> ParallelReport {
-        let n = self.workers.len();
-        let tracing = trace_meta.is_some();
-        let shared = BspShared {
-            read_ts: Turnstile::new(n),
-            write_ts: Turnstile::new(n),
-            computed: Barrier::new(n),
-            written: Barrier::new(n),
-            applied: Barrier::new(n),
-            clock: WallClock::new(),
-            stop: AtomicBool::new(false),
-            dense_slots: Mutex::new((0..n).map(|_| None).collect()),
-            gathered: Mutex::new((0..n).map(|_| None).collect()),
-            avg: Mutex::new(FlatGrads::new()),
-            loss: Mutex::new(vec![(0.0, 0u64); n]),
-            tail: Mutex::new(BspTail::default()),
-        };
-        let Trainer {
-            config,
-            dataset,
-            server,
-            dense_store,
-            workers,
-            net,
-            sgd,
-            ..
-        } = &mut *self;
-        let ctx = ThreadCtx {
-            config,
-            dataset,
-            server,
-            dense_store: dense_store.as_ref(),
-            net: *net,
-            sgd: *sgd,
-            n,
-            tracing,
-        };
-        let logs: Vec<TraceLog> = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(n);
-            for (w, worker) in workers.iter_mut().enumerate() {
-                let shared = &shared;
-                let ctx = &ctx;
-                handles.push(s.spawn(move || {
-                    if ctx.tracing {
-                        het_trace::start(Vec::new());
-                    }
-                    bsp_worker_loop(w, worker, shared, ctx);
-                    het_trace::finish()
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        let tail = std::mem::take(&mut *shared.tail.lock().unwrap());
-        let total = tail.rounds * n as u64;
-        self.finish_threaded(
-            n,
-            &shared.clock,
-            logs,
-            trace_meta,
-            total,
-            tail.curve,
-            tail.converged_at_ns,
-            false,
-        )
-    }
-
-    fn run_threaded_async(
+    /// Runs `body` for every worker on its own scoped OS thread, each
+    /// with its own trace collector when `tracing`; returns the
+    /// per-thread logs in worker order.
+    fn spawn_workers(
         &mut self,
-        staleness: Option<u64>,
-        trace_meta: Option<Vec<(String, Json)>>,
-    ) -> ParallelReport {
+        clock: &WallClock,
+        tracing: bool,
+        body: impl Fn(usize, &mut Worker<M>, &ThreadCtx<'_, D>) + Sync,
+    ) -> Vec<TraceLog> {
         let n = self.workers.len();
-        let tracing = trace_meta.is_some();
-        let shared = AsyncShared {
-            clock: WallClock::new(),
-            progress: Mutex::new(AsyncProgress {
-                iters: vec![0; n],
-                global: 0,
-            }),
-            cv: Condvar::new(),
-        };
         let Trainer {
             config,
             dataset,
@@ -312,7 +302,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             net,
             sgd,
             ..
-        } = &mut *self;
+        } = self;
         let ctx = ThreadCtx {
             config,
             dataset,
@@ -320,107 +310,71 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             dense_store: dense_store.as_ref(),
             net: *net,
             sgd: *sgd,
+            clock,
             n,
             tracing,
         };
-        let logs: Vec<TraceLog> = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(n);
-            for (w, worker) in workers.iter_mut().enumerate() {
-                let shared = &shared;
-                let ctx = &ctx;
-                handles.push(s.spawn(move || {
-                    if ctx.tracing {
-                        het_trace::start(Vec::new());
-                    }
-                    async_worker_loop(w, worker, shared, ctx, staleness);
-                    het_trace::finish()
-                }));
-            }
+        std::thread::scope(|s| {
+            let handles: Vec<_> = workers
+                .iter_mut()
+                .enumerate()
+                .map(|(w, worker)| {
+                    let (ctx, body) = (&ctx, &body);
+                    s.spawn(move || {
+                        if tracing {
+                            het_trace::start(Vec::new());
+                        }
+                        body(w, worker, ctx);
+                        het_trace::finish()
+                    })
+                })
+                .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("worker thread panicked"))
                 .collect()
-        });
-        let total = shared.progress.lock().unwrap().global;
-        self.finish_threaded(
-            n,
-            &shared.clock,
-            logs,
-            trace_meta,
-            total,
-            Vec::new(),
-            None,
-            true,
-        )
+        })
     }
 
     /// Post-join tail shared by both modes: flush every cache (wall
     /// stamps, on the main thread's own collector), evaluate, merge the
     /// per-thread traces, and assemble the report.
-    #[allow(clippy::too_many_arguments)]
     fn finish_threaded(
         &mut self,
-        n: usize,
         clock: &WallClock,
         logs: Vec<TraceLog>,
         trace_meta: Option<Vec<(String, Json)>>,
-        total: u64,
-        mut curve: Vec<ConvergencePoint>,
-        converged_at_ns: Option<u64>,
-        push_final_point: bool,
+        progress: Progress,
     ) -> ParallelReport {
-        let tracing = trace_meta.is_some();
+        let Progress {
+            iterations: total,
+            mut curve,
+            converged_at_ns,
+        } = progress;
+        let n = self.workers.len();
         let wall_ns = clock.elapsed_ns();
-        if tracing {
+        if trace_meta.is_some() {
             het_trace::start(Vec::new());
         }
-        {
-            let Trainer {
-                server,
-                net,
-                workers,
-                ..
-            } = &mut *self;
-            let server = &**server;
-            for (i, worker) in workers.iter_mut().enumerate() {
-                if let SparseEngine::Cached(c) = &mut worker.sparse {
-                    if tracing {
-                        het_trace::set_scope(clock.stamp(), Some(i as u64));
-                    }
-                    let t = c.flush(server, net, &mut worker.comm);
-                    worker.breakdown.sparse_write += t;
-                    het_trace::span!("trainer", "flush", t.as_nanos());
-                }
-            }
-        }
+        self.flush_caches(|_| clock.stamp());
         let final_metric = self.evaluate_now();
         let trace = trace_meta.map(|meta| {
             let mut parts = logs;
             parts.push(het_trace::finish());
             het_trace::merge_threads(meta, parts)
         });
-        if push_final_point {
-            let loss_sum: f64 = self.workers.iter().map(|w| w.loss_sum).sum();
-            let loss_count: u64 = self.workers.iter().map(|w| w.loss_count).sum();
+        // BSP curves carry their mid-run evaluations; ASP/SSP runs
+        // evaluate once, here.
+        if !matches!(self.config.system.sync, SyncMode::Bsp) {
+            let train_loss = self.take_train_loss();
             curve.push(ConvergencePoint {
                 sim_time: SimTime::from_nanos(wall_ns),
                 iteration: total,
                 metric: final_metric,
-                train_loss: if loss_count > 0 {
-                    loss_sum / loss_count as f64
-                } else {
-                    0.0
-                },
+                train_loss,
             });
         }
-        let mut comm = CommStats::new();
-        let mut cache = CacheStats::default();
-        for worker in &self.workers {
-            comm.merge(&worker.comm);
-            if let SparseEngine::Cached(c) = &worker.sparse {
-                cache.merge(c.cache().stats());
-            }
-        }
+        let (comm, cache, _) = self.merged_stats();
         self.global_iterations = total;
         self.curve = curve.clone();
         let wall_s = wall_ns as f64 / 1e9;
@@ -455,46 +409,34 @@ fn bsp_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
     shared: &BspShared,
     ctx: &ThreadCtx<'_, D>,
 ) {
-    let dim = ctx.config.dim;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let cursor = (worker.iterations * ctx.n as u64 + w as u64) * ctx.config.batch_size as u64;
+    while !shared.stop.load(Ordering::SeqCst) {
+        let cursor = data_cursor(ctx.config, w, worker.iterations);
         let batch = ctx.dataset.train_batch(cursor, ctx.config.batch_size);
         let keys = batch.unique_keys();
-        let store = shared.read_ts.pass(w, || {
-            if ctx.tracing {
-                het_trace::set_scope(shared.clock.stamp(), Some(w as u64));
-            }
-            engine_read(worker, &keys, ctx)
+        let (store, _) = shared.read_ts.pass(w, || {
+            ctx.scope(w);
+            worker.read(w, &keys, ctx.server, &ctx.net, None, None)
         });
-        let c0 = shared.clock.elapsed_ns();
+        let c0 = ctx.clock.elapsed_ns();
         let (loss, grads) = worker.model.forward_backward(&batch, &store);
-        let compute_ns = shared.clock.elapsed_ns().saturating_sub(c0);
+        let compute_ns = ctx.clock.elapsed_ns().saturating_sub(c0);
         shared.computed.wait(w);
         shared.write_ts.pass(w, || {
-            if ctx.tracing {
-                het_trace::set_scope(shared.clock.stamp(), Some(w as u64));
+            ctx.scope(w);
+            let (t_write, gathered) = worker.write(grads, ctx.server, &ctx.net, None);
+            het_trace::span!("trainer", "write", t_write.as_nanos());
+            if let Some(g) = gathered {
+                worker.record_allgather(&g, ctx.config.dim, &ctx.net);
+                shared.gathered.lock().unwrap()[w] = Some(g);
             }
-            if matches!(worker.sparse, SparseEngine::Replicated) {
-                let block = wire::sparse_allgather_block_bytes(grads.len(), dim);
-                let bytes = ctx.net.allgather_bytes_per_worker(block);
-                if bytes > 0 {
-                    worker.comm.record(CommCategory::SparseAllGather, bytes);
-                }
-                shared.gathered.lock().unwrap()[w] = Some(grads);
-            } else {
-                engine_write(worker, &grads, ctx);
-            }
-            match ctx.config.system.dense {
-                DenseSync::AllReduce => {
+            match ctx.dense_store {
+                None => {
                     let mut g = FlatGrads::new();
                     g.export_from(&mut worker.model);
                     shared.dense_slots.lock().unwrap()[w] = Some(g);
                 }
-                DenseSync::Ps => {
-                    dense_ps_sync(worker, ctx.dense_store.expect("dense PS store"), &ctx.net);
+                Some(store) => {
+                    worker.dense_ps_sync(store, &ctx.net);
                 }
             }
             worker.iterations += 1;
@@ -509,75 +451,52 @@ fn bsp_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
             bsp_leader_tail(worker, shared, ctx);
         }
         shared.applied.wait(w);
-        if matches!(ctx.config.system.dense, DenseSync::AllReduce) {
-            let avg = shared.avg.lock().unwrap();
-            if w != 0 {
-                // The leader already applied it to worker 0's replica
-                // (before evaluating, mirroring the sim's apply-then-
-                // eval order).
-                avg.import_into(&mut worker.model);
-                ctx.sgd.step(&mut worker.model);
-            }
-            let bytes = (avg.len() * wire::F32_BYTES as usize) as u64;
-            let per_worker = ctx.net.ring_allreduce_bytes_per_worker(bytes);
-            if per_worker > 0 {
-                worker.comm.record(CommCategory::DenseAllReduce, per_worker);
-            }
+        // The leader already applied the mean to worker 0's replica
+        // (before evaluating, mirroring the sim's apply-then-eval order).
+        if ctx.dense_store.is_none() && w != 0 {
+            worker.apply_dense_mean(&shared.avg.lock().unwrap(), &ctx.sgd, &ctx.net);
         }
     }
 }
 
 /// The single-threaded tail of a BSP round, run by the barrier leader
 /// (worker 0's thread): sparse AllGather merge, dense gradient
-/// averaging (worker-order accumulation — the sim's float addition
-/// order), round accounting, and evaluation at the sim's cadence.
+/// averaging, round accounting, and evaluation at the sim's cadence.
 fn bsp_leader_tail<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
     worker: &mut Worker<M>,
     shared: &BspShared,
     ctx: &ThreadCtx<'_, D>,
 ) {
     let n = ctx.n;
-    let gathered: Vec<Option<SparseGrads>> = {
+    let gathered: Vec<SparseGrads> = {
         let mut g = shared.gathered.lock().unwrap();
-        g.iter_mut().map(|s| s.take()).collect()
+        g.iter_mut().filter_map(Option::take).collect()
     };
-    if gathered.iter().any(|g| g.is_some()) {
-        let mut merged = SparseGrads::new(ctx.config.dim);
-        for g in gathered.iter().flatten() {
-            merged.merge(g);
-        }
-        for k in merged.sorted_keys() {
-            ctx.server.push_inc(k, merged.get(k).expect("merged key"));
-        }
-        ctx.server.take_io_ns();
+    if !gathered.is_empty() {
+        apply_gathered(&gathered, ctx.config.dim, ctx.server);
     }
-    if matches!(ctx.config.system.dense, DenseSync::AllReduce) {
+    if ctx.dense_store.is_none() {
         let slots: Vec<FlatGrads> = {
             let mut s = shared.dense_slots.lock().unwrap();
             s.iter_mut()
                 .map(|g| g.take().expect("dense slot filled in write phase"))
                 .collect()
         };
-        let mut sum = FlatGrads::new();
-        for g in &slots {
-            sum.accumulate(g);
-        }
-        sum.scale(1.0 / n as f32);
-        sum.import_into(&mut worker.model);
-        ctx.sgd.step(&mut worker.model);
-        *shared.avg.lock().unwrap() = sum;
+        let mean = dense_mean(&slots, n);
+        worker.apply_dense_mean(&mean, &ctx.sgd, &ctx.net);
+        *shared.avg.lock().unwrap() = mean;
     }
     let mut tail = shared.tail.lock().unwrap();
-    tail.rounds += 1;
-    let global = tail.rounds * n as u64;
-    let t_ns = shared.clock.stamp();
+    tail.iterations += n as u64;
+    let global = tail.iterations;
+    let t_ns = ctx.clock.stamp();
     if ctx.tracing {
         het_trace::set_scope(t_ns, None);
         het_trace::span!("trainer", "barrier", 0u64,
             "round_iters" => n, "round_end_ns" => t_ns);
     }
     if global % ctx.config.eval_every < n as u64 {
-        let metric = eval_worker0(&*worker, ctx);
+        let metric = worker.evaluate(ctx.dataset, ctx.config, ctx.server);
         let (mut loss_sum, mut loss_count) = (0.0f64, 0u64);
         {
             let mut slots = shared.loss.lock().unwrap();
@@ -646,119 +565,30 @@ fn async_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
             }
             p.global += 1;
         }
-        let cursor = (worker.iterations * ctx.n as u64 + w as u64) * ctx.config.batch_size as u64;
+        let cursor = data_cursor(ctx.config, w, worker.iterations);
         let batch = ctx.dataset.train_batch(cursor, ctx.config.batch_size);
         let keys = batch.unique_keys();
-        if ctx.tracing {
-            het_trace::set_scope(shared.clock.stamp(), Some(w as u64));
-        }
-        let store = engine_read(worker, &keys, ctx);
-        let c0 = shared.clock.elapsed_ns();
+        ctx.scope(w);
+        let (store, _) = worker.read(w, &keys, ctx.server, &ctx.net, None, None);
+        let c0 = ctx.clock.elapsed_ns();
         let (loss, grads) = worker.model.forward_backward(&batch, &store);
-        let compute_ns = shared.clock.elapsed_ns().saturating_sub(c0);
+        let compute_ns = ctx.clock.elapsed_ns().saturating_sub(c0);
         worker.loss_sum += loss as f64;
         worker.loss_count += 1;
-        engine_write(worker, &grads, ctx);
-        if matches!(ctx.config.system.dense, DenseSync::Ps) {
-            dense_ps_sync(worker, ctx.dense_store.expect("dense PS store"), &ctx.net);
+        let (t_write, _) = worker.write(grads, ctx.server, &ctx.net, None);
+        het_trace::span!("trainer", "write", t_write.as_nanos());
+        if let Some(store) = ctx.dense_store {
+            worker.dense_ps_sync(store, &ctx.net);
         }
         {
             let mut p = shared.progress.lock().unwrap();
-            if ctx.tracing {
-                het_trace::set_scope(shared.clock.stamp(), Some(w as u64));
-                het_trace::span!("trainer", "compute", compute_ns, "loss" => loss as f64);
-            }
+            ctx.scope(w);
+            het_trace::span!("trainer", "compute", compute_ns, "loss" => loss as f64);
             p.iters[w] += 1;
             worker.iterations += 1;
             shared.cv.notify_all();
         }
     }
-}
-
-/// The sparse read, minus the sim-only prefetch/fault paths.
-fn engine_read<M: EmbeddingModel, D: Dataset>(
-    worker: &mut Worker<M>,
-    keys: &[het_data::Key],
-    ctx: &ThreadCtx<'_, D>,
-) -> EmbeddingStore {
-    let (store, t) = match &mut worker.sparse {
-        SparseEngine::Direct(c) => c.read(keys, ctx.server, &ctx.net, &mut worker.comm, None),
-        SparseEngine::Cached(c) => c.read(keys, ctx.server, &ctx.net, &mut worker.comm, None),
-        SparseEngine::Replicated => {
-            let mut store = EmbeddingStore::new(ctx.server.dim());
-            for &k in keys {
-                store.insert(k, ctx.server.pull(k).vector);
-            }
-            ctx.server.reclassify_pending_io();
-            (store, het_simnet::SimDuration::ZERO)
-        }
-    };
-    worker.breakdown.sparse_read += t;
-    het_trace::span!("trainer", "read", t.as_nanos(), "keys" => keys.len());
-    store
-}
-
-/// The sparse write for the direct and cached engines (replicated mode
-/// gathers at the barrier instead).
-fn engine_write<M: EmbeddingModel, D: Dataset>(
-    worker: &mut Worker<M>,
-    grads: &SparseGrads,
-    ctx: &ThreadCtx<'_, D>,
-) {
-    let t = match &mut worker.sparse {
-        SparseEngine::Direct(c) => c.write(grads, ctx.server, &ctx.net, &mut worker.comm, None),
-        SparseEngine::Cached(c) => c.write(grads, ctx.server, &ctx.net, &mut worker.comm, None),
-        SparseEngine::Replicated => unreachable!("replicated writes gather at the barrier"),
-    };
-    worker.breakdown.sparse_write += t;
-    het_trace::span!("trainer", "write", t.as_nanos());
-}
-
-/// Dense PS push/pull, mirroring the sim's `dense_ps_sync` math (the
-/// `DenseStore` is internally synchronised).
-fn dense_ps_sync<M: EmbeddingModel>(worker: &mut Worker<M>, store: &DenseStore, net: &Collectives) {
-    let mut grads = FlatGrads::new();
-    grads.export_from(&mut worker.model);
-    store.push(grads.as_slice());
-    let (params, _version) = store.pull();
-    FlatParams::from_vec(params).import_into(&mut worker.model);
-    worker.model.zero_grads();
-    let bytes = wire::dense_transfer_bytes(grads.len());
-    worker.comm.record(CommCategory::DensePs, bytes);
-    worker.comm.record(CommCategory::DensePs, bytes);
-    let t = net.ps_transfer(bytes) * 2;
-    worker.breakdown.dense_sync += t;
-    het_trace::span!("trainer", "dense_sync", t.as_nanos(), "bytes" => bytes * 2);
-}
-
-/// Held-out evaluation from worker 0's point of view — the same view
-/// the sim's `evaluate_now` builds: cached values where resident,
-/// server values otherwise.
-fn eval_worker0<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
-    worker: &Worker<M>,
-    ctx: &ThreadCtx<'_, D>,
-) -> f64 {
-    let mut chunk = EvalChunk::default();
-    let cache = match &worker.sparse {
-        SparseEngine::Cached(c) => Some(c.cache()),
-        _ => None,
-    };
-    for b in 0..ctx.config.eval_batches {
-        let batch = ctx
-            .dataset
-            .test_batch((b * ctx.config.batch_size) as u64, ctx.config.batch_size);
-        let keys = batch.unique_keys();
-        let mut store = EmbeddingStore::new(ctx.config.dim);
-        for &k in &keys {
-            let v = cache
-                .and_then(|c| c.peek(k).map(|e| e.vector.clone()))
-                .unwrap_or_else(|| ctx.server.pull(k).vector);
-            store.insert(k, v);
-        }
-        ctx.server.reclassify_pending_io();
-        chunk.extend(worker.model.evaluate(&batch, &store));
-    }
-    chunk.metric(worker.model.metric_kind())
 }
 
 #[cfg(test)]
@@ -774,43 +604,72 @@ mod tests {
         Trainer::new(config, dataset, |rng| WideDeep::new(rng, 4, 8, &[16]))
     }
 
+    /// Every BSP sparse engine on both PS stores: the threaded backend
+    /// must end at the sim's exact state — dense parameters, metric,
+    /// curve, comm accounting, every server row (vector and clock) and
+    /// the store's tier counters.
     #[test]
     fn threaded_bsp_cached_matches_sim_bit_for_bit() {
-        let mut sim = ctr_trainer(SystemPreset::HetCache { staleness: 10 });
-        let sim_report = sim.run();
-        let sim_dense = sim.export_dense_params();
+        use het_ps::{StoreSpec, TieredConfig};
+        let presets = [
+            SystemPreset::HetCache { staleness: 10 },
+            SystemPreset::HetAr,
+            SystemPreset::HetHybrid,
+            SystemPreset::TfParallax,
+        ];
+        for preset in presets {
+            for store in [StoreSpec::Mem, StoreSpec::Tiered(TieredConfig::new(16))] {
+                let build = || {
+                    let mut config = TrainerConfig::tiny(preset);
+                    config.cluster = het_simnet::ClusterSpec::cluster_a(3, 1);
+                    config.store = store.clone();
+                    Trainer::new(config, CtrDataset::new(CtrConfig::tiny(7)), |rng| {
+                        WideDeep::new(rng, 4, 8, &[16])
+                    })
+                };
+                let cell = format!("{preset:?} on {store:?}");
+                let mut sim = build();
+                let sim_report = sim.run();
+                let sim_dense = sim.export_dense_params();
+                let mut thr = build();
+                let report = thr.run_threaded(None).unwrap();
 
-        let mut thr = ctr_trainer(SystemPreset::HetCache { staleness: 10 });
-        let report = thr.run_threaded(None).unwrap();
-
-        assert_eq!(report.total_iterations, sim_report.total_iterations);
-        assert_eq!(
-            report.final_dense, sim_dense,
-            "dense params must be bit-identical"
-        );
-        assert_eq!(report.final_metric, sim_report.final_metric);
-        assert_eq!(report.curve.len(), sim_report.curve.len());
-        for (a, b) in report.curve.iter().zip(&sim_report.curve) {
-            assert_eq!(a.iteration, b.iteration);
-            assert_eq!(
-                a.metric, b.metric,
-                "eval metric diverged at iter {}",
-                a.iteration
-            );
-            assert_eq!(a.train_loss, b.train_loss);
+                assert_eq!(
+                    report.total_iterations, sim_report.total_iterations,
+                    "{cell}"
+                );
+                assert_eq!(report.final_dense, sim_dense, "{cell}: dense params");
+                assert_eq!(report.final_metric, sim_report.final_metric, "{cell}");
+                assert_eq!(report.curve.len(), sim_report.curve.len(), "{cell}");
+                for (a, b) in report.curve.iter().zip(&sim_report.curve) {
+                    assert_eq!(a.iteration, b.iteration, "{cell}");
+                    assert_eq!(a.metric, b.metric, "{cell}: metric at {}", a.iteration);
+                    assert_eq!(
+                        a.train_loss, b.train_loss,
+                        "{cell}: loss at {}",
+                        a.iteration
+                    );
+                }
+                assert_eq!(report.comm, sim_report.comm, "{cell}: comm accounting");
+                assert_eq!(
+                    thr.server().store_stats(),
+                    sim.server().store_stats(),
+                    "{cell}: store stats"
+                );
+                let rows = |t: &Trainer<WideDeep, CtrDataset>| {
+                    let mut rows = t.server().export_rows();
+                    rows.sort_by_key(|r| r.key);
+                    rows
+                };
+                let (sim_rows, thr_rows) = (rows(&sim), rows(&thr));
+                assert_eq!(sim_rows.len(), thr_rows.len(), "{cell}");
+                for (a, b) in sim_rows.iter().zip(&thr_rows) {
+                    assert_eq!(a.key, b.key, "{cell}");
+                    assert_eq!(a.clock, b.clock, "{cell}: clock of key {}", a.key);
+                    assert_eq!(a.vector, b.vector, "{cell}: row {}", a.key);
+                }
+            }
         }
-        assert_eq!(report.comm, sim_report.comm, "comm accounting diverged");
-    }
-
-    #[test]
-    fn threaded_bsp_allgather_matches_sim() {
-        let mut sim = ctr_trainer(SystemPreset::HetAr);
-        let sim_report = sim.run();
-        let sim_dense = sim.export_dense_params();
-        let mut thr = ctr_trainer(SystemPreset::HetAr);
-        let report = thr.run_threaded(None).unwrap();
-        assert_eq!(report.final_dense, sim_dense);
-        assert_eq!(report.final_metric, sim_report.final_metric);
     }
 
     #[test]
@@ -834,15 +693,6 @@ mod tests {
         let min = *iters.iter().min().unwrap();
         let max = *iters.iter().max().unwrap();
         assert!(max - min <= 3, "SSP spread {min}..{max} exceeds s + 1");
-    }
-
-    #[test]
-    fn threaded_rejects_sim_only_features() {
-        let dataset = CtrDataset::new(CtrConfig::tiny(7));
-        let mut config = TrainerConfig::tiny(SystemPreset::HetCache { staleness: 10 });
-        config.lookahead_depth = 2;
-        let mut t = Trainer::new(config, dataset, |rng| WideDeep::new(rng, 4, 8, &[16]));
-        assert!(t.run_threaded(None).unwrap_err().contains("lookahead"));
     }
 
     #[test]

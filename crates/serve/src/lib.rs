@@ -60,7 +60,5 @@ pub use sim::ServeSim;
 pub use supervise::{
     AutoscaleConfig, Autoscaler, ControlPlane, ReshardPlan, SupervisionConfig, Supervisor,
 };
-pub use thread::{
-    run_threaded_colocated, run_threaded_serve, run_threaded_serve_shared, ThreadedServeReport,
-};
+pub use thread::{run_threaded_colocated, run_threaded_serve, ThreadedServeReport};
 pub use workload::{generate_requests, pretrain, Request};

@@ -13,11 +13,11 @@
 use crate::config::ServeConfig;
 use crate::report::{ReplicaReport, ServeReport};
 use crate::supervise::{Autoscaler, ControlPlane, Supervisor, CONTROL_WAKE, HEARTBEAT_WAKE};
-use crate::workload::{generate_requests, key_of, pretrain, warmup_seed, Request};
+use crate::workload::{generate_requests, pretrain, warmup_keys, Request};
 use het_core::fault::{FaultContext, FaultStats};
 use het_core::HetClient;
-use het_data::{CtrBatch, Key, LatencyHistogram, SpaceSaving, ZipfSampler};
-use het_models::{EmbeddingModel, ModelBatch};
+use het_data::{CtrBatch, Key, LatencyHistogram, SpaceSaving};
+use het_models::EmbeddingModel;
 use het_ps::{PsConfig, PsServer, ServerHandle, ServerOptimizer};
 use het_rng::rngs::StdRng;
 use het_rng::SeedableRng;
@@ -32,12 +32,102 @@ use std::rc::Rc;
 /// instead of three). Fixed so reports are comparable across runs.
 const FORWARD_FLOP_FRACTION: f64 = 1.0 / 3.0;
 
-struct Replica<M> {
-    client: HetClient,
+/// The part of a serving replica both serving backends step: a
+/// read-only [`HetClient`] cache in front of the served model.
+pub(crate) struct ReplicaCore<M> {
+    pub(crate) client: HetClient,
     model: M,
+    comm: CommStats,
+}
+
+/// What one micro-batch step produced.
+pub(crate) struct Served {
+    /// Distinct embedding keys the batch resolved.
+    pub(crate) unique_keys: usize,
+    /// Modelled time of the staleness-bounded read.
+    pub(crate) lookup: SimDuration,
+    /// Sum of the batch's model scores.
+    pub(crate) score_sum: f64,
+    /// Number of scores summed.
+    pub(crate) scores: u64,
+}
+
+impl<M: EmbeddingModel<Batch = CtrBatch>> ReplicaCore<M> {
+    /// A fresh replica: an empty read-only cache and a model from an
+    /// RNG seeded with `cfg.seed`, so every replica serves the same
+    /// model.
+    pub(crate) fn new(cfg: &ServeConfig, model_fn: impl Fn(&mut StdRng) -> M) -> Self {
+        let mut client = HetClient::new(
+            cfg.cache_capacity,
+            cfg.staleness,
+            cfg.policy,
+            cfg.dim,
+            cfg.lr,
+        );
+        // A serving replica must never dirty an entry — enforce it at
+        // the table level, not by convention.
+        client.cache_mut().set_read_only(true);
+        let model = model_fn(&mut StdRng::seed_from_u64(cfg.seed));
+        assert_eq!(
+            model.embedding_dim(),
+            cfg.dim,
+            "model embedding dim must match the config"
+        );
+        ReplicaCore {
+            client,
+            model,
+            comm: CommStats::default(),
+        }
+    }
+
+    /// The micro-batch step both serving backends run: staleness-bounded
+    /// embedding resolution over the batch's unique keys (the
+    /// micro-batch analogue of the trainer's read), then the forward
+    /// pass over `requests`.
+    pub(crate) fn serve<'r>(
+        &mut self,
+        requests: impl ExactSizeIterator<Item = &'r Request> + Clone,
+        n_fields: usize,
+        server: &PsServer,
+        net: &Collectives,
+        fault: Option<&mut FaultContext<'_>>,
+    ) -> Served {
+        let mut unique: Vec<Key> = requests
+            .clone()
+            .flat_map(|r| r.keys.iter().copied())
+            .collect();
+        unique.sort_unstable();
+        unique.dedup();
+        let (store, lookup) = self
+            .client
+            .read(&unique, server, net, &mut self.comm, fault);
+        // `Het.Read` installs fetched entries past capacity; training
+        // trims the overflow in `Het.Write`, which serving never calls,
+        // so trim here. Read-only entries are always clean.
+        let evicted = self.client.cache_mut().evict_overflow();
+        debug_assert!(
+            evicted.iter().all(|(_, e)| !e.dirty),
+            "read-only cache evicted a dirty entry"
+        );
+        let batch = CtrBatch {
+            labels: vec![0.0; requests.len()],
+            keys: requests.flat_map(|r| r.keys.iter().copied()).collect(),
+            n_fields,
+        };
+        let chunk = self.model.evaluate(&batch, &store);
+        Served {
+            unique_keys: unique.len(),
+            lookup,
+            score_sum: chunk.scores.iter().map(|&s| s as f64).sum::<f64>(),
+            scores: chunk.scores.len() as u64,
+        }
+    }
+}
+
+struct Replica<M> {
+    core: ReplicaCore<M>,
     queue: VecDeque<usize>,
     busy_until: SimTime,
-    comm: CommStats,
     ops: u64,
     hist: LatencyHistogram,
     requests: u64,
@@ -178,36 +268,15 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         };
         let supervised = cfg.supervision.enabled || cfg.autoscale.enabled;
         let replicas = (0..fleet)
-            .map(|_| {
-                let mut client = HetClient::new(
-                    cfg.cache_capacity,
-                    cfg.staleness,
-                    cfg.policy,
-                    cfg.dim,
-                    cfg.lr,
-                );
-                // A serving replica must never dirty an entry — enforce
-                // it at the table level, not by convention.
-                client.cache_mut().set_read_only(true);
-                let mut model_rng = StdRng::seed_from_u64(cfg.seed);
-                let model = model_fn(&mut model_rng);
-                assert_eq!(
-                    model.embedding_dim(),
-                    cfg.dim,
-                    "model embedding dim must match the config"
-                );
-                Replica {
-                    client,
-                    model,
-                    queue: VecDeque::new(),
-                    busy_until: SimTime::ZERO,
-                    comm: CommStats::default(),
-                    ops: 0,
-                    hist: LatencyHistogram::new(),
-                    requests: 0,
-                    batches: 0,
-                    crash_count: 0,
-                }
+            .map(|_| Replica {
+                core: ReplicaCore::new(&cfg, &model_fn),
+                queue: VecDeque::new(),
+                busy_until: SimTime::ZERO,
+                ops: 0,
+                hist: LatencyHistogram::new(),
+                requests: 0,
+                batches: 0,
+                crash_count: 0,
             })
             .collect();
         let requests = generate_requests(&cfg);
@@ -257,30 +326,25 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         self.control.clone()
     }
 
-    /// SpaceSaving warmup: replays the popularity distribution through
-    /// the sketch offline, then pre-installs its top keys into every
-    /// replica cache before the first request lands.
+    /// SpaceSaving warmup: pre-installs the sketch's top keys
+    /// ([`warmup_keys`]) into every replica cache before the first
+    /// request lands, pulling them once per replica.
     fn warm_replicas(&mut self) {
-        if self.cfg.warmup_requests == 0 {
+        let top = warmup_keys(&self.cfg);
+        if top.is_empty() {
             return;
         }
-        let mut rng = StdRng::seed_from_u64(warmup_seed(&self.cfg));
-        let zipf = ZipfSampler::new(self.cfg.n_keys as usize, self.cfg.zipf_exponent);
-        let mut sketch = SpaceSaving::new(self.cfg.cache_capacity);
-        for _ in 0..self.cfg.warmup_requests * self.cfg.n_fields {
-            let rank = zipf.sample(&mut rng) as u64;
-            sketch.observe(key_of(rank, SimTime::ZERO, &self.cfg));
-        }
-        let top: Vec<(Key, u64)> = sketch.top(self.cfg.cache_capacity);
         self.warmed_keys = top.len() as u64;
         for (r, replica) in self.replicas.iter_mut().enumerate() {
             het_trace::set_scope(0, Some((self.member_offset + r) as u64));
-            for &(k, _) in &top {
+            for &k in &top {
                 let pulled = self.server.pull(k);
-                let displaced = replica
-                    .client
-                    .cache_mut()
-                    .install(k, pulled.vector, pulled.clock);
+                let displaced =
+                    replica
+                        .core
+                        .client
+                        .cache_mut()
+                        .install(k, pulled.vector, pulled.clock);
                 debug_assert!(displaced.is_none(), "warmup installs into an empty cache");
             }
             het_trace::counter_add("serve", "warmed_keys", top.len() as u64);
@@ -338,7 +402,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     fn apply_one_crash(&mut self, r: usize, at: SimTime, restart: SimDuration) {
         let replica = &mut self.replicas[r];
         het_trace::set_scope(at.as_nanos(), Some((self.member_offset + r) as u64));
-        let (lost, dirty_lost, _) = replica.client.crash_reset();
+        let (lost, dirty_lost, _) = replica.core.client.crash_reset();
         debug_assert_eq!(dirty_lost, 0, "read-only caches hold no dirty entries");
         replica.busy_until = replica.busy_until.max(at + restart);
         replica.crash_count += 1;
@@ -366,7 +430,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     fn apply_supervised_crash(&mut self, r: usize, at: SimTime) {
         let replica = &mut self.replicas[r];
         het_trace::set_scope(at.as_nanos(), Some((self.member_offset + r) as u64));
-        let (lost, dirty_lost, _) = replica.client.crash_reset();
+        let (lost, dirty_lost, _) = replica.core.client.crash_reset();
         debug_assert_eq!(dirty_lost, 0, "read-only caches hold no dirty entries");
         self.down[r] = true;
         replica.crash_count += 1;
@@ -605,6 +669,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         for &(k, _) in &top {
             let pulled = self.server.pull(k);
             let _ = replica
+                .core
                 .client
                 .cache_mut()
                 .install(k, pulled.vector, pulled.clock);
@@ -645,18 +710,19 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         // workload cannot accumulate unconsumed pins without limit.
         let replica = &mut self.replicas[r];
         let budget = ((self.cfg.cache_capacity / 4).max(1) as u64)
-            .saturating_sub(replica.client.cache().pinned_len() as u64);
+            .saturating_sub(replica.core.client.cache().pinned_len() as u64);
         let mut installed = 0u64;
         for k in candidates {
             if installed == budget {
                 break;
             }
-            if replica.client.cache().find(k) {
+            if replica.core.client.cache().find(k) {
                 continue;
             }
             let pulled = self.server.pull(k);
             let displaced =
                 replica
+                    .core
                     .client
                     .cache_mut()
                     .install_prefetched(k, pulled.vector, pulled.clock);
@@ -686,14 +752,6 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         let idxs: Vec<usize> = replica.queue.drain(..n_take).collect();
         let depth_after = replica.queue.len();
 
-        // Staleness-bounded embedding resolution over the batch's
-        // unique keys (the micro-batch analogue of the trainer's read).
-        let mut unique: Vec<Key> = idxs
-            .iter()
-            .flat_map(|&i| self.requests[i].keys.iter().copied())
-            .collect();
-        unique.sort_unstable();
-        unique.dedup();
         let degraded_before = self.fault_stats.degraded_reads;
         let mut fctx = (!self.plan.is_empty()).then_some(FaultContext {
             plan: &self.plan,
@@ -703,37 +761,21 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             ops: &mut replica.ops,
             stats: &mut self.fault_stats,
         });
-        let (store, t_lookup) = replica.client.read(
-            &unique,
+        let requests = &self.requests;
+        let served = replica.core.serve(
+            idxs.iter().map(|&i| &requests[i]),
+            self.cfg.n_fields,
             &self.server,
             &self.net,
-            &mut replica.comm,
             fctx.as_mut(),
         );
-        // `Het.Read` installs fetched entries past capacity; training
-        // trims the overflow in `Het.Write`, which serving never calls,
-        // so trim here. Read-only entries are always clean.
-        let evicted = replica.client.cache_mut().evict_overflow();
-        debug_assert!(
-            evicted.iter().all(|(_, e)| !e.dirty),
-            "read-only cache evicted a dirty entry"
-        );
-
-        // Forward pass over the batch.
-        let batch = CtrBatch {
-            keys: idxs
-                .iter()
-                .flat_map(|&i| self.requests[i].keys.iter().copied())
-                .collect(),
-            labels: vec![0.0; idxs.len()],
-            n_fields: self.cfg.n_fields,
-        };
-        let chunk = replica.model.evaluate(&batch, &store);
-        self.score_sum += chunk.scores.iter().map(|&s| s as f64).sum::<f64>();
-        self.score_count += chunk.scores.len() as u64;
-        let t_infer = self.cfg.cluster.compute_time(
-            replica.model.flops_per_batch(batch.n_examples()) * FORWARD_FLOP_FRACTION,
-        );
+        let t_lookup = served.lookup;
+        self.score_sum += served.score_sum;
+        self.score_count += served.scores;
+        let t_infer = self
+            .cfg
+            .cluster
+            .compute_time(replica.core.model.flops_per_batch(idxs.len()) * FORWARD_FLOP_FRACTION);
         let service = t_lookup + t_infer;
         let done = t + service;
         replica.busy_until = done;
@@ -744,7 +786,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         // Accounting + trace.
         self.lookup_ns += t_lookup.as_nanos();
         self.infer_ns += t_infer.as_nanos();
-        het_trace::span!("serve", "lookup", t_lookup.as_nanos(), "keys" => unique.len());
+        het_trace::span!("serve", "lookup", t_lookup.as_nanos(), "keys" => served.unique_keys);
         het_trace::span!("serve", "infer", t_infer.as_nanos(), "examples" => idxs.len());
         het_trace::span!("serve", "batch", service.as_nanos(),
             "n" => idxs.len(), "depth_after" => depth_after);
@@ -885,7 +927,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             .iter()
             .enumerate()
             .map(|(i, r)| {
-                let stats = *r.client.cache().stats();
+                let stats = *r.core.client.cache().stats();
                 cache.merge(&stats);
                 served += r.requests;
                 batches += r.batches;

@@ -1,18 +1,25 @@
 //! The threaded half of the serving execution-backend seam.
 //!
 //! [`ServeSim`](crate::ServeSim) is the discrete-event oracle: one OS
-//! thread, virtual time, byte-identical reports. This module runs the
-//! *same* replica machinery — a read-only [`HetClient`] cache in front
-//! of a trained forward pass, staleness-bounded reads against a live
-//! PS — on real OS threads behind `--backend threads:<n>`:
+//! thread, virtual time, byte-identical reports. This module is a second
+//! scheduler around the *same* replica step: replicas are built by the
+//! sim's `ReplicaCore::new` (a read-only [`HetClient`](het_core::HetClient)
+//! cache in front of an identically seeded model), every micro-batch runs
+//! the sim's `ReplicaCore::serve` (unique keys, staleness-bounded
+//! `Het.Read` against a live PS, overflow trim, forward pass), and the
+//! warmup set is the same SpaceSaving top-keys computation. What this
+//! module owns is the scheduling:
 //!
-//! * one thread per replica, each **owning** its cache and model (the
-//!   het-cache tables stay single-owner; only the PS fabric is shared,
-//!   through [`PsServer`]'s internally synchronized shards);
+//! * one thread per replica, each **owning** its replica (the het-cache
+//!   tables stay single-owner; only the PS fabric is shared, through
+//!   [`PsServer`]'s internally synchronized shards); the model factory
+//!   runs inside the replica's thread;
+//! * the warmup keys are pulled once on the calling thread, so every
+//!   replica installs the identical snapshot without racing the pulls
+//!   (the sim pulls once per replica);
 //! * the pre-generated request schedule ([`generate_requests`]) is
 //!   drained through a shared atomic cursor — each thread claims the
-//!   next `max_batch` requests, resolves their embeddings through its
-//!   cache, and runs the forward pass;
+//!   next `max_batch` requests and runs the micro-batch step on them;
 //! * latency is **wall-clock service time** per micro-batch (claim →
 //!   forward done). The open-loop arrival process and join-shortest-
 //!   queue routing are simulation constructs; the threaded backend is
@@ -33,17 +40,16 @@
 //! silently ignored.
 
 use crate::config::ServeConfig;
-use crate::workload::{generate_requests, key_of, pretrain, warmup_seed, Request};
+use crate::sim::ReplicaCore;
+use crate::workload::{generate_requests, pretrain, warmup_keys, Request};
 use het_cache::CacheStats;
-use het_core::HetClient;
-use het_data::{CtrBatch, Key, LatencyHistogram, SpaceSaving, ZipfSampler};
+use het_data::{CtrBatch, Key, LatencyHistogram};
 use het_json::{Json, ToJson};
 use het_models::EmbeddingModel;
-use het_ps::{PsConfig, PsServer, PullResult, ServerHandle, ServerOptimizer};
+use het_ps::{PsConfig, PsServer, PullResult, ServerOptimizer};
 use het_rng::rngs::StdRng;
-use het_rng::SeedableRng;
 use het_runtime::WallClock;
-use het_simnet::{Collectives, CommStats, SimTime};
+use het_simnet::Collectives;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -130,6 +136,7 @@ impl ToJson for ThreadedServeReport {
 }
 
 /// What one replica thread brings home.
+#[derive(Default)]
 struct ThreadOut {
     hist: LatencyHistogram,
     cache: CacheStats,
@@ -139,61 +146,34 @@ struct ThreadOut {
     batches: u64,
 }
 
-/// Rejects configuration features the threaded backend cannot honour.
-/// Each of them scripts behaviour against the *simulated* schedule
-/// (fault instants, heartbeat ticks, queue-depth windows), which has
-/// no wall-clock analogue here.
-fn check_supported(cfg: &ServeConfig) -> Result<(), String> {
-    if cfg.faults.enabled {
-        return Err(
-            "the threaded serving backend does not support fault injection; use --backend sim"
-                .to_string(),
-        );
+/// Rejects configurations the threaded backend cannot honour. Fault
+/// injection, supervision and autoscaling each script behaviour against
+/// the *simulated* schedule (fault instants, heartbeat ticks,
+/// queue-depth windows), which has no wall-clock analogue here.
+fn check_supported(cfg: &ServeConfig, n_threads: usize) -> Result<(), String> {
+    cfg.validate();
+    for (on, feature) in [
+        (cfg.faults.enabled, "fault injection"),
+        (cfg.supervision.enabled, "supervision"),
+        (cfg.autoscale.enabled, "autoscaling"),
+    ] {
+        if on {
+            return Err(format!(
+                "the threaded serving backend does not support {feature}; use --backend sim"
+            ));
+        }
     }
-    if cfg.supervision.enabled {
-        return Err(
-            "the threaded serving backend does not support supervision; use --backend sim"
-                .to_string(),
-        );
-    }
-    if cfg.autoscale.enabled {
-        return Err(
-            "the threaded serving backend does not support autoscaling; use --backend sim"
-                .to_string(),
-        );
+    if n_threads == 0 {
+        return Err("threaded serving needs at least one replica thread".to_string());
     }
     Ok(())
 }
 
-/// The SpaceSaving warmup set, pulled once on the calling thread so
-/// every replica installs the identical snapshot (the sim warms each
-/// replica from the same offline sketch; pulling once gives the
-/// threaded fleet the same content without racing the warm pulls).
-fn warm_snapshot(cfg: &ServeConfig, server: &PsServer) -> Vec<(Key, PullResult)> {
-    if cfg.warmup_requests == 0 {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(warmup_seed(cfg));
-    let zipf = ZipfSampler::new(cfg.n_keys as usize, cfg.zipf_exponent);
-    let mut sketch = SpaceSaving::new(cfg.cache_capacity);
-    for _ in 0..cfg.warmup_requests * cfg.n_fields {
-        let rank = zipf.sample(&mut rng) as u64;
-        sketch.observe(key_of(rank, SimTime::ZERO, cfg));
-    }
-    let snapshot = sketch
-        .top(cfg.cache_capacity)
-        .into_iter()
-        .map(|(k, _)| (k, server.pull(k)))
-        .collect();
-    // Warmup precedes the first request; its cold fetches are not
-    // serving latency.
-    server.reclassify_pending_io();
-    snapshot
-}
-
-/// One replica thread: claim `max_batch` requests off the shared
-/// cursor, resolve embeddings through the thread-owned cache, forward,
-/// record the batch's wall service time for each request in it.
+/// One replica thread: builds its replica (the model factory runs on
+/// this thread), installs the shared warmup snapshot, then claims
+/// `max_batch` requests at a time off the shared cursor and runs the
+/// micro-batch step, recording the batch's wall service time for each
+/// request in it.
 fn replica_loop<M: EmbeddingModel<Batch = CtrBatch>>(
     cfg: &ServeConfig,
     server: &PsServer,
@@ -201,61 +181,27 @@ fn replica_loop<M: EmbeddingModel<Batch = CtrBatch>>(
     warm: &[(Key, PullResult)],
     next: &AtomicUsize,
     clock: &WallClock,
-    model: M,
+    model_fn: impl Fn(&mut StdRng) -> M,
 ) -> ThreadOut {
-    let mut client = HetClient::new(
-        cfg.cache_capacity,
-        cfg.staleness,
-        cfg.policy,
-        cfg.dim,
-        cfg.lr,
-    );
-    client.cache_mut().set_read_only(true);
+    let mut replica = ReplicaCore::new(cfg, model_fn);
     for (k, pulled) in warm {
-        let _ = client
+        let _ = replica
+            .client
             .cache_mut()
             .install(*k, pulled.vector.clone(), pulled.clock);
     }
     let net: Collectives = cfg.cluster.collectives();
-    let mut comm = CommStats::default();
-    let mut out = ThreadOut {
-        hist: LatencyHistogram::new(),
-        cache: CacheStats::default(),
-        score_sum: 0.0,
-        score_count: 0,
-        requests: 0,
-        batches: 0,
-    };
+    let mut out = ThreadOut::default();
     loop {
         let start = next.fetch_add(cfg.max_batch, Ordering::Relaxed);
         if start >= requests.len() {
             break;
         }
-        let end = (start + cfg.max_batch).min(requests.len());
+        let batch_reqs = &requests[start..(start + cfg.max_batch).min(requests.len())];
         let t0 = clock.elapsed_ns();
-        let batch_reqs = &requests[start..end];
-        let mut unique: Vec<Key> = batch_reqs
-            .iter()
-            .flat_map(|r| r.keys.iter().copied())
-            .collect();
-        unique.sort_unstable();
-        unique.dedup();
-        let (store, _modelled) = client.read(&unique, server, &net, &mut comm, None);
-        // Training trims past-capacity installs in `Het.Write`, which
-        // serving never calls — trim here, as the sim replica does.
-        let evicted = client.cache_mut().evict_overflow();
-        debug_assert!(evicted.iter().all(|(_, e)| !e.dirty));
-        let batch = CtrBatch {
-            keys: batch_reqs
-                .iter()
-                .flat_map(|r| r.keys.iter().copied())
-                .collect(),
-            labels: vec![0.0; batch_reqs.len()],
-            n_fields: cfg.n_fields,
-        };
-        let chunk = model.evaluate(&batch, &store);
-        out.score_sum += chunk.scores.iter().map(|&s| s as f64).sum::<f64>();
-        out.score_count += chunk.scores.len() as u64;
+        let served = replica.serve(batch_reqs.iter(), cfg.n_fields, server, &net, None);
+        out.score_sum += served.score_sum;
+        out.score_count += served.scores;
         let service = clock.elapsed_ns().saturating_sub(t0);
         for _ in batch_reqs {
             out.hist.record(service);
@@ -263,90 +209,73 @@ fn replica_loop<M: EmbeddingModel<Batch = CtrBatch>>(
         out.requests += batch_reqs.len() as u64;
         out.batches += 1;
     }
-    out.cache = *client.cache().stats();
+    out.cache = *replica.client.cache().stats();
     out
 }
 
-/// Runs the replica fleet: `n_threads` threads drain `requests` against
-/// `server`, each installing the shared `warm` snapshot first. Returns
-/// the merged per-thread results and the fleet wall time.
-fn run_fleet<M: EmbeddingModel<Batch = CtrBatch>>(
+/// The one threaded fleet path: pulls the warmup snapshot once on the
+/// calling thread (every replica installs the same content without
+/// racing the warm pulls), runs `n_threads` replica threads that drain
+/// the request schedule against `server`, and merges their results.
+fn serve_fleet<M: EmbeddingModel<Batch = CtrBatch>>(
     cfg: &ServeConfig,
     server: &PsServer,
-    requests: &[Request],
-    warm: &[(Key, PullResult)],
     n_threads: usize,
-    model_fn: &(impl Fn(&mut StdRng) -> M + Sync),
-) -> (Vec<ThreadOut>, u64) {
+    model_fn: impl Fn(&mut StdRng) -> M + Sync,
+    pretrained: u64,
+) -> ThreadedServeReport {
+    let warm: Vec<(Key, PullResult)> = warmup_keys(cfg)
+        .into_iter()
+        .map(|k| (k, server.pull(k)))
+        .collect();
+    // Warmup precedes the first request; its cold fetches are not
+    // serving latency.
+    server.reclassify_pending_io();
+    let requests = generate_requests(cfg);
     let clock = WallClock::new();
     let next = AtomicUsize::new(0);
     let outs: Mutex<Vec<ThreadOut>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for _ in 0..n_threads {
-            let (clock, next, outs) = (&clock, &next, &outs);
+            let (clock, next, outs, model_fn) = (&clock, &next, &outs, &model_fn);
+            let (requests, warm) = (&requests, &warm);
             scope.spawn(move || {
-                // Every replica serves the same model: identically
-                // seeded RNG per thread, as in `ServeSim::assemble`.
-                let mut model_rng = StdRng::seed_from_u64(cfg.seed);
-                let model = model_fn(&mut model_rng);
-                assert_eq!(
-                    model.embedding_dim(),
-                    cfg.dim,
-                    "model embedding dim must match the config"
-                );
-                let out = replica_loop(cfg, server, requests, warm, next, clock, model);
+                let out = replica_loop(cfg, server, requests, warm, next, clock, model_fn);
                 outs.lock().unwrap_or_else(|e| e.into_inner()).push(out);
             });
         }
     });
     let wall_ns = clock.elapsed_ns();
-    (
-        outs.into_inner().unwrap_or_else(|e| e.into_inner()),
-        wall_ns,
-    )
-}
-
-/// Merges per-thread results into the report.
-fn assemble_report(
-    outs: Vec<ThreadOut>,
-    wall_ns: u64,
-    n_threads: usize,
-    warmed_keys: u64,
-    pretrained: u64,
-) -> ThreadedServeReport {
-    let mut hist = LatencyHistogram::new();
-    let mut cache = CacheStats::default();
-    let (mut requests, mut batches) = (0u64, 0u64);
-    let (mut score_sum, mut score_count) = (0f64, 0u64);
-    for out in &outs {
-        hist.merge(&out.hist);
-        cache.merge(&out.cache);
-        requests += out.requests;
-        batches += out.batches;
-        score_sum += out.score_sum;
-        score_count += out.score_count;
+    let mut total = ThreadOut::default();
+    for out in outs.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        total.hist.merge(&out.hist);
+        total.cache.merge(&out.cache);
+        total.requests += out.requests;
+        total.batches += out.batches;
+        total.score_sum += out.score_sum;
+        total.score_count += out.score_count;
     }
     let wall_s = wall_ns as f64 / 1e9;
     ThreadedServeReport {
         n_threads,
-        requests,
-        batches,
+        requests: total.requests,
+        batches: total.batches,
         wall_ns,
         throughput_rps: if wall_s > 0.0 {
-            requests as f64 / wall_s
+            total.requests as f64 / wall_s
         } else {
             0.0
         },
-        latency_p50_ns: hist.quantile(0.5),
-        latency_p95_ns: hist.quantile(0.95),
-        latency_p99_ns: hist.quantile(0.99),
-        latency_max_ns: hist.max(),
-        latency_mean_ns: hist.mean(),
-        cache,
-        warmed_keys,
+        latency_p50_ns: total.hist.quantile(0.5),
+        latency_p95_ns: total.hist.quantile(0.95),
+        latency_p99_ns: total.hist.quantile(0.99),
+        latency_max_ns: total.hist.max(),
+        latency_mean_ns: total.hist.mean(),
+        cache: total.cache,
+        warmed_keys: warm.len() as u64,
         pretrain_updates: pretrained,
-        score_mean: if score_count > 0 {
-            score_sum / score_count as f64
+        score_mean: if total.score_count > 0 {
+            total.score_sum / total.score_count as f64
         } else {
             0.0
         },
@@ -363,12 +292,8 @@ pub fn run_threaded_serve<M: EmbeddingModel<Batch = CtrBatch>>(
     n_threads: usize,
     model_fn: impl Fn(&mut StdRng) -> M + Sync,
 ) -> Result<ThreadedServeReport, String> {
-    cfg.validate();
-    check_supported(&cfg)?;
-    if n_threads == 0 {
-        return Err("threaded serving needs at least one replica thread".to_string());
-    }
-    let server = ServerHandle::new(PsServer::with_store(
+    check_supported(&cfg, n_threads)?;
+    let server = PsServer::with_store(
         PsConfig {
             dim: cfg.dim,
             n_shards: cfg.n_shards,
@@ -379,52 +304,9 @@ pub fn run_threaded_serve<M: EmbeddingModel<Batch = CtrBatch>>(
         },
         0,
         &cfg.store,
-    ));
-    let pretrained = pretrain(&cfg, &server, cfg.pretrain_updates);
-    let warm = warm_snapshot(&cfg, &server);
-    let requests = generate_requests(&cfg);
-    let (outs, wall_ns) = run_fleet(&cfg, &server, &requests, &warm, n_threads, &model_fn);
-    Ok(assemble_report(
-        outs,
-        wall_ns,
-        n_threads,
-        warm.len() as u64,
-        pretrained,
-    ))
-}
-
-/// Runs a threaded serving fleet against a *shared, live* PS fabric —
-/// the trainer's — while something else (a threaded trainer) mutates
-/// it. The caller supplies the handle and pre-generated requests;
-/// pretraining is skipped (the live trainer *is* the training stream).
-/// Used by the threaded colocate path; see
-/// [`run_threaded_colocated`](crate::colocate) wiring in `hetctl`.
-pub fn run_threaded_serve_shared<M: EmbeddingModel<Batch = CtrBatch>>(
-    cfg: &ServeConfig,
-    server: ServerHandle,
-    n_threads: usize,
-    model_fn: impl Fn(&mut StdRng) -> M + Sync,
-) -> Result<ThreadedServeReport, String> {
-    cfg.validate();
-    check_supported(cfg)?;
-    if n_threads == 0 {
-        return Err("threaded serving needs at least one replica thread".to_string());
-    }
-    assert_eq!(
-        server.dim(),
-        cfg.dim,
-        "shared PS fabric dim must match the serve config"
     );
-    let warm = warm_snapshot(cfg, &server);
-    let requests = generate_requests(cfg);
-    let (outs, wall_ns) = run_fleet(cfg, &server, &requests, &warm, n_threads, &model_fn);
-    Ok(assemble_report(
-        outs,
-        wall_ns,
-        n_threads,
-        warm.len() as u64,
-        0,
-    ))
+    let pretrained = pretrain(&cfg, &server, cfg.pretrain_updates);
+    Ok(serve_fleet(&cfg, &server, n_threads, model_fn, pretrained))
 }
 
 /// Co-scheduled training + serving on the threaded backend: the
@@ -454,15 +336,20 @@ where
     // The fleet reads the trainer's live table; its shard count is a
     // property of that fabric, not of the serve config.
     serve_cfg.n_shards = server.n_shards();
+    check_supported(&serve_cfg, n_serve_threads)?;
+    assert_eq!(
+        server.dim(),
+        serve_cfg.dim,
+        "shared PS fabric dim must match the serve config"
+    );
     std::thread::scope(|scope| {
-        let serve_cfg = &serve_cfg;
-        let fleet = scope.spawn(move || {
-            run_threaded_serve_shared(serve_cfg, server, n_serve_threads, serve_model_fn)
-        });
+        let (serve_cfg, server) = (&serve_cfg, &*server);
+        let fleet =
+            scope.spawn(move || serve_fleet(serve_cfg, server, n_serve_threads, serve_model_fn, 0));
         let train = trainer.run_threaded(None);
         let serve = fleet
             .join()
-            .map_err(|_| "serving fleet panicked".to_string())??;
+            .map_err(|_| "serving fleet panicked".to_string())?;
         Ok((train?, serve))
     })
 }

@@ -6,7 +6,7 @@
 //! *history* that produced the served model ([`pretrain`]).
 
 use crate::config::ServeConfig;
-use het_data::{Key, ZipfSampler};
+use het_data::{Key, SpaceSaving, ZipfSampler};
 use het_ps::PsServer;
 use het_rng::rngs::StdRng;
 use het_rng::{Rng, SeedableRng};
@@ -102,9 +102,26 @@ pub fn pretrain(cfg: &ServeConfig, server: &PsServer, n: u64) -> u64 {
     n
 }
 
-/// The warmup sketch's seed for a run configuration.
-pub fn warmup_seed(cfg: &ServeConfig) -> u64 {
-    cfg.seed ^ WARMUP_SALT
+/// The SpaceSaving warmup set both serving backends install: replays
+/// `warmup_requests` requests' worth of the popularity distribution
+/// through the sketch offline and returns its top keys. Empty when
+/// warmup is off.
+pub(crate) fn warmup_keys(cfg: &ServeConfig) -> Vec<Key> {
+    if cfg.warmup_requests == 0 {
+        return Vec::new();
+    }
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ WARMUP_SALT);
+    let zipf = ZipfSampler::new(cfg.n_keys as usize, cfg.zipf_exponent);
+    let mut sketch = SpaceSaving::new(cfg.cache_capacity);
+    for _ in 0..cfg.warmup_requests * cfg.n_fields {
+        let rank = zipf.sample(&mut rng) as u64;
+        sketch.observe(key_of(rank, SimTime::ZERO, cfg));
+    }
+    sketch
+        .top(cfg.cache_capacity)
+        .into_iter()
+        .map(|(k, _)| k)
+        .collect()
 }
 
 #[cfg(test)]
