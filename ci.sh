@@ -65,6 +65,16 @@ case "$out" in
     *) echo "unexpected error: $out"; exit 1 ;;
 esac
 
+echo "==> bad --policy values are errors, not panics (lightlfu:0 must fail cleanly)"
+if out=$(cargo run -q --release -p het-bench --bin hetctl -- train \
+        --workload wdl --iters 4 --policy lightlfu:0 2>&1); then
+    echo "--policy lightlfu:0 exited 0; expected a refusal"
+    exit 1
+fi
+case "$out" in
+    *panicked*) echo "--policy lightlfu:0 panicked: $out"; exit 1 ;;
+esac
+
 echo "==> threaded colocate smoke (live trainer + serving fleet on real threads)"
 cargo run -q --release -p het-bench --bin hetctl -- colocate \
     --backend threads:2 --iters 120 --requests 200
@@ -93,7 +103,7 @@ cargo run -q --release -p het-bench --bin hetctl -- chaos --seed 7
 echo "==> chaos recovery campaign (every seed must ride out the storm)"
 cargo run -q --release -p het-bench --bin hetctl -- chaos --seeds 0..120
 
-echo "==> eviction-policy model equivalence (naive O(n) references, full zoo)"
+echo "==> eviction-policy model equivalence (naive O(n) references, all 5 policies)"
 step_start=$(date +%s)
 cargo test -q -p het-cache --test policy_model
 echo "    [timing] policy_model: $(($(date +%s) - step_start))s"
@@ -102,9 +112,9 @@ echo "==> consistency oracle (120-seed fuzz campaign over the full policy zoo)"
 # The campaign also exercises the prefetch cell: ~1/3 of sampled
 # scenarios run with nonzero lookahead and are re-checked against the
 # prefetch ledger and staleness-window invariants. Policies are drawn
-# from all seven fixed kinds plus three adaptive windows, so coherence,
+# from all five kinds (LightLFU at thresholds 16 and 4), so coherence,
 # gradient conservation, and the staging-region pin exemption are
-# re-proven per policy — including across mid-run adaptive switches.
+# re-proven per policy.
 # ~35% of scenarios additionally run every PS shard on the tiered
 # memory/disk store with a tiny hot budget (8/32/128 rows), so the
 # same invariants are re-proven across demotions, cold-log spills, and
@@ -135,7 +145,7 @@ cargo run -q --release -p het-bench --bin hetctl -- store-sweep \
     --keys 10000000 --ops 300000 --hot 65536 --gate 0.5
 echo "    [timing] store sweep: $(($(date +%s) - step_start))s"
 
-echo "==> policy shootout (adaptive within 5 hit-rate points of best fixed, all scenarios)"
+echo "==> policy shootout (LFUDA within 5 hit-rate points of the best policy, all scenarios)"
 step_start=$(date +%s)
 cargo run -q --release -p het-bench --bin hetctl -- policy-shootout \
     --iters 240 --requests 2400 --gate 0.05

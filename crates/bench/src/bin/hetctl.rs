@@ -172,31 +172,23 @@ fn system_of(name: &str, staleness: u64) -> Result<SystemPreset, String> {
 }
 
 fn policy_of(name: &str) -> Result<PolicyKind, String> {
-    // Parameterised forms: `lightlfu:THRESHOLD`, `adaptive:WINDOW`.
+    // Parameterised form: `lightlfu:THRESHOLD`.
     if let Some(t) = name.strip_prefix("lightlfu:") {
-        let promote_threshold = t
-            .parse::<u64>()
-            .map_err(|_| format!("bad lightlfu threshold '{t}'"))?;
+        let promote_threshold =
+            t.parse::<u64>().ok().filter(|&t| t > 0).ok_or_else(|| {
+                format!("bad lightlfu threshold '{t}' (expected a positive integer)")
+            })?;
         return Ok(PolicyKind::LightLfu { promote_threshold });
-    }
-    if let Some(w) = name.strip_prefix("adaptive:") {
-        let window = w
-            .parse::<u64>()
-            .map_err(|_| format!("bad adaptive window '{w}'"))?;
-        return Ok(PolicyKind::Adaptive { window });
     }
     Ok(match name {
         "lru" => PolicyKind::Lru,
         "lfu" => PolicyKind::Lfu,
         "lightlfu" => PolicyKind::light_lfu(),
         "clock" => PolicyKind::Clock,
-        "slru" => PolicyKind::Slru,
         "lfuda" => PolicyKind::Lfuda,
-        "gdsf" => PolicyKind::Gdsf,
-        "adaptive" => PolicyKind::adaptive(),
         other => {
             return Err(format!(
-                "unknown policy '{other}' (try: lru lfu lightlfu[:T] clock slru lfuda gdsf adaptive[:W])"
+                "unknown policy '{other}' (try: lru lfu lightlfu[:T] clock lfuda)"
             ))
         }
     })
@@ -1079,9 +1071,9 @@ fn cmd_store_sweep(args: &Args) -> Result<(), String> {
 /// faulted, serve with hot-set drift, serve with a flash crowd) ×
 /// every `PolicyKind`, printing the leaderboard and writing it to
 /// `target/experiments/policy_shootout.json`. With `--gate MARGIN` the
-/// command fails if on any scenario the adaptive meta-policy's hit
-/// rate falls more than MARGIN (absolute) below the best fixed policy
-/// — the CI gate proving the switcher tracks the per-workload winner.
+/// command fails if on any scenario LFUDA's hit rate falls more than
+/// MARGIN (absolute) below the best policy — the CI gate keeping the
+/// zoo's aging policy competitive on every workload.
 fn cmd_policy_shootout(args: &Args) -> Result<(), String> {
     let iters: u64 = args.get_parsed("iters", 240)?;
     let requests: usize = args.get_parsed("requests", 2_400)?;
@@ -1111,7 +1103,7 @@ fn cmd_policy_shootout(args: &Args) -> Result<(), String> {
     );
     if gate > 0.0 {
         het_bench::shootout_gate(&rows, gate)?;
-        println!("verdict: PASS (adaptive within {gate:.2} of best fixed on every scenario)");
+        println!("verdict: PASS (LFUDA within {gate:.2} of best on every scenario)");
     }
     Ok(())
 }
@@ -1227,7 +1219,7 @@ fn main() -> ExitCode {
             println!("flags:     --workers N --servers N --dim N --iters N --staleness N");
             println!(
                 "           --cache-frac F --network 1gbe|10gbe\n           --policy \
-                 lru|lfu|lightlfu[:T]|clock|slru|lfuda|gdsf|adaptive[:W]"
+                 lru|lfu|lightlfu[:T]|clock|lfuda"
             );
             println!("           --target METRIC --lr RATE --lookahead DEPTH (prefetcher)");
             println!(

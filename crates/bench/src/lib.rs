@@ -883,12 +883,6 @@ pub const SHOOTOUT_SCENARIOS: [&str; 6] = [
     "serve-flash",
 ];
 
-/// The contenders: the seven fixed policies plus the adaptive
-/// meta-policy ([`het_cache::PolicyKind::ALL`]).
-pub fn shootout_policies() -> [het_cache::PolicyKind; 8] {
-    het_cache::PolicyKind::ALL
-}
-
 fn shootout_train_tweak(c: &mut TrainerConfig, iters: u64, policy: het_cache::PolicyKind) {
     c.cluster = het_simnet::ClusterSpec::cluster_a(2, 1);
     c.max_iterations = iters;
@@ -1009,41 +1003,41 @@ fn cycle_us(report: &TrainReport) -> f64 {
 }
 
 /// Runs the full policy shootout: every scenario in
-/// [`SHOOTOUT_SCENARIOS`] × every policy in [`shootout_policies`],
+/// [`SHOOTOUT_SCENARIOS`] × every policy in [`het_cache::PolicyKind::ALL`],
 /// returning one leaderboard row per cell. `iters` sizes the train
 /// scenarios, `requests` the serve scenarios.
 pub fn policy_shootout(iters: u64, requests: usize) -> Vec<ShootoutRow> {
     let mut rows = Vec::new();
     for scenario in SHOOTOUT_SCENARIOS {
-        for policy in shootout_policies() {
+        for policy in het_cache::PolicyKind::ALL {
             rows.push(shootout_cell(scenario, policy, iters, requests));
         }
     }
     rows
 }
 
-/// The CI gate over a shootout leaderboard: on every scenario the
-/// adaptive meta-policy's hit rate must come within `margin` (absolute
-/// hit-rate points, default 0.05) of the best fixed policy. A policy
-/// that had to be picked by hand would silently rot as workloads
-/// drift; this bound proves the switcher tracks the winner.
+/// The CI gate over a shootout leaderboard: on every scenario LFUDA's
+/// hit rate must come within `margin` (absolute hit-rate points,
+/// default 0.05) of the best policy. LFUDA is the zoo's answer to a
+/// drifting hot set; this bound keeps it from losing ground anywhere
+/// else.
 pub fn shootout_gate(rows: &[ShootoutRow], margin: f64) -> Result<(), String> {
+    let lfuda = het_cache::PolicyKind::Lfuda.to_string();
     for scenario in SHOOTOUT_SCENARIOS {
         let cells: Vec<&ShootoutRow> = rows.iter().filter(|r| r.scenario == scenario).collect();
-        let adaptive = cells
+        let gated = cells
             .iter()
-            .find(|r| r.policy == "Adaptive")
-            .ok_or_else(|| format!("gate: no adaptive row for scenario {scenario}"))?;
-        let best_fixed = cells
+            .find(|r| r.policy == lfuda)
+            .ok_or_else(|| format!("gate: no {lfuda} row for scenario {scenario}"))?;
+        let best = cells
             .iter()
-            .filter(|r| r.policy != "Adaptive")
             .max_by(|a, b| a.hit_rate.total_cmp(&b.hit_rate))
-            .ok_or_else(|| format!("gate: no fixed rows for scenario {scenario}"))?;
-        if adaptive.hit_rate + margin < best_fixed.hit_rate {
+            .expect("scenario has at least the gated row");
+        if gated.hit_rate + margin < best.hit_rate {
             return Err(format!(
-                "policy-shootout gate: scenario {scenario}: adaptive hit rate {:.4} \
-                 is more than {margin:.2} below best fixed ({} at {:.4})",
-                adaptive.hit_rate, best_fixed.policy, best_fixed.hit_rate
+                "policy-shootout gate: scenario {scenario}: {lfuda} hit rate {:.4} \
+                 is more than {margin:.2} below best ({} at {:.4})",
+                gated.hit_rate, best.policy, best.hit_rate
             ));
         }
     }

@@ -5,54 +5,18 @@
 //! is costly; its "light-weighted LFU" promotes an embedding to a
 //! direct-access set once its frequency passes a threshold, after which
 //! accesses bypass frequency maintenance entirely. Beyond the paper's
-//! LRU/LFU pair this module adds the classic web-cache zoo — CLOCK
-//! (cheap recency), SLRU (scan resistance), LFUDA (frequency with
-//! aging, so a stale hot set cannot pin the cache forever), and GDSF
-//! (size/cost awareness priced off the α-β wire model) — plus an
-//! adaptive meta-policy that watches the access skew through a
-//! SpaceSaving sketch and switches the live policy at deterministic
-//! window boundaries. All are provided behind one trait so
+//! LRU/LFU pair this module adds two classic web-cache policies — CLOCK
+//! (cheap recency) and LFUDA (frequency with aging, so a stale hot set
+//! cannot pin the cache forever). All are provided behind one trait so
 //! `CacheTable` and the benches can swap them freely.
 
 use crate::Key;
-use het_data::SpaceSaving;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Default promotion threshold for the paper's light-weighted LFU
 /// (§4.3). Lifted out of `LightLfuPolicy::new(16)` so configs and
 /// sweeps can vary it; the default keeps golden fixtures byte-stable.
 pub const DEFAULT_LIGHT_LFU_THRESHOLD: u64 = 16;
-
-/// Default number of observations between adaptive skew evaluations.
-pub const DEFAULT_ADAPTIVE_WINDOW: u64 = 256;
-
-/// α term of the refetch-cost model handed to cost-aware policies:
-/// fixed per-message bytes for one single-key fetch response (wire
-/// header + key echo + clock). Mirrors
-/// `het_simnet::wire::embedding_fetch_response_bytes` — a cross-crate
-/// test in `het-core` pins the two together.
-pub const FETCH_COST_ALPHA_BYTES: u64 = 64 + 8 + 8;
-
-/// β term of the refetch-cost model: payload bytes per f32 element.
-pub const FETCH_COST_BETA_BYTES: u64 = 4;
-
-/// α-β refetch cost of one embedding row of dimension `dim`, in bytes:
-/// what evicting the row will cost the network if it is read again.
-pub const fn fetch_cost_bytes(dim: usize) -> u64 {
-    FETCH_COST_ALPHA_BYTES + FETCH_COST_BETA_BYTES * dim as u64
-}
-
-/// Bytes one embedding row of dimension `dim` occupies in the cache
-/// (the "size" in GDSF's cost/size ratio), floored at 1 so the ratio
-/// is always defined.
-pub const fn row_size_bytes(dim: usize) -> u64 {
-    let b = FETCH_COST_BETA_BYTES * dim as u64;
-    if b == 0 {
-        1
-    } else {
-        b
-    }
-}
 
 /// Which built-in policy to instantiate (used by configs and benches).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,57 +34,21 @@ pub enum PolicyKind {
     /// CLOCK (second-chance): O(1) approximate LRU — an extension beyond
     /// the paper's LRU/LFU comparison.
     Clock,
-    /// Segmented LRU: new keys enter a probationary segment and must be
-    /// re-referenced to reach the protected segment, so a one-pass scan
-    /// cannot flush the hot set.
-    Slru,
     /// LFU with dynamic aging: victim priority seeds a global age term,
     /// so formerly-hot keys decay instead of pinning the cache forever.
     Lfuda,
-    /// Greedy-Dual-Size-Frequency: priority is age + freq·cost/size,
-    /// with cost priced off the α-β wire model — keys that are cheap to
-    /// refetch are evicted first.
-    Gdsf,
-    /// Adaptive meta-policy: tracks access skew with a SpaceSaving
-    /// sketch and switches between LRU / SLRU / LFUDA every `window`
-    /// observations. Switch points are deterministic in the access
-    /// stream and recorded as `cache.policy_switch` trace events.
-    Adaptive {
-        /// Observations between skew evaluations (default
-        /// [`DEFAULT_ADAPTIVE_WINDOW`]). Smaller windows switch faster.
-        window: u64,
-    },
 }
 
 impl PolicyKind {
-    /// The seven fixed (non-adaptive) policies, in leaderboard order.
-    pub const FIXED: [PolicyKind; 7] = [
+    /// Every kind, in leaderboard order.
+    pub const ALL: [PolicyKind; 5] = [
         PolicyKind::Lru,
         PolicyKind::Lfu,
         PolicyKind::LightLfu {
             promote_threshold: DEFAULT_LIGHT_LFU_THRESHOLD,
         },
         PolicyKind::Clock,
-        PolicyKind::Slru,
         PolicyKind::Lfuda,
-        PolicyKind::Gdsf,
-    ];
-
-    /// Every kind, the full zoo: the seven fixed policies plus the
-    /// adaptive meta-policy at its default window.
-    pub const ALL: [PolicyKind; 8] = [
-        PolicyKind::Lru,
-        PolicyKind::Lfu,
-        PolicyKind::LightLfu {
-            promote_threshold: DEFAULT_LIGHT_LFU_THRESHOLD,
-        },
-        PolicyKind::Clock,
-        PolicyKind::Slru,
-        PolicyKind::Lfuda,
-        PolicyKind::Gdsf,
-        PolicyKind::Adaptive {
-            window: DEFAULT_ADAPTIVE_WINDOW,
-        },
     ];
 
     /// Light-weighted LFU at the default promotion threshold.
@@ -130,22 +58,12 @@ impl PolicyKind {
         }
     }
 
-    /// The adaptive meta-policy at the default evaluation window.
-    pub const fn adaptive() -> Self {
-        PolicyKind::Adaptive {
-            window: DEFAULT_ADAPTIVE_WINDOW,
-        }
-    }
-
-    /// True for the adaptive meta-policy.
-    pub const fn is_adaptive(self) -> bool {
-        matches!(self, PolicyKind::Adaptive { .. })
-    }
-
-    /// Instantiates the policy for a table of the given capacity (SLRU
-    /// sizes its protected segment from it; the adaptive meta-policy
-    /// needs it to build its successors).
-    pub fn build(self, capacity: usize) -> Box<dyn CachePolicy> {
+    /// Instantiates the policy.
+    ///
+    /// # Panics
+    /// Panics on a `LightLfu` promotion threshold of 0; parsers of
+    /// outside input reject it first.
+    pub fn build(self) -> Box<dyn CachePolicy> {
         match self {
             PolicyKind::Lru => Box::new(LruPolicy::new()),
             PolicyKind::Lfu => Box::new(LfuPolicy::new()),
@@ -153,10 +71,7 @@ impl PolicyKind {
                 Box::new(LightLfuPolicy::new(promote_threshold))
             }
             PolicyKind::Clock => Box::new(ClockPolicy::new()),
-            PolicyKind::Slru => Box::new(SlruPolicy::from_capacity(capacity)),
             PolicyKind::Lfuda => Box::new(LfudaPolicy::new()),
-            PolicyKind::Gdsf => Box::new(GdsfPolicy::new()),
-            PolicyKind::Adaptive { window } => Box::new(AdaptivePolicy::new(capacity, window)),
         }
     }
 }
@@ -168,10 +83,7 @@ impl std::fmt::Display for PolicyKind {
             PolicyKind::Lfu => f.write_str("LFU"),
             PolicyKind::LightLfu { .. } => f.write_str("LightLFU"),
             PolicyKind::Clock => f.write_str("CLOCK"),
-            PolicyKind::Slru => f.write_str("SLRU"),
             PolicyKind::Lfuda => f.write_str("LFUDA"),
-            PolicyKind::Gdsf => f.write_str("GDSF"),
-            PolicyKind::Adaptive { .. } => f.write_str("Adaptive"),
         }
     }
 }
@@ -189,13 +101,6 @@ impl std::fmt::Display for PolicyKind {
 pub trait CachePolicy: Send + Sync {
     /// A key became resident.
     fn on_insert(&mut self, key: Key);
-    /// A key became resident, with its α-β refetch cost and in-cache
-    /// size in bytes. Cost-aware policies (GDSF) override this; every
-    /// other policy ignores the price and forwards to `on_insert`.
-    fn on_insert_cost(&mut self, key: Key, cost_bytes: u64, size_bytes: u64) {
-        let _ = (cost_bytes, size_bytes);
-        self.on_insert(key);
-    }
     /// A resident key was read or written.
     fn on_access(&mut self, key: Key);
     /// A resident key was removed explicitly (invalidation).
@@ -208,11 +113,6 @@ pub trait CachePolicy: Send + Sync {
     /// True when no key is tracked.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-    /// Number of online policy switches so far (adaptive only; fixed
-    /// policies never switch).
-    fn switch_count(&self) -> u64 {
-        0
     }
 }
 
@@ -509,134 +409,6 @@ impl CachePolicy for ClockPolicy {
     }
 }
 
-/// Fraction of the table capacity given to SLRU's protected segment
-/// (numerator/denominator, so the split is exact integer arithmetic).
-const SLRU_PROTECTED_NUM: usize = 4;
-const SLRU_PROTECTED_DEN: usize = 5;
-
-/// Segmented LRU: two LRU segments. New keys enter *probationary*;
-/// a hit on a probationary key promotes it to *protected* (capped at
-/// ~80% of table capacity, demoting the protected LRU back to the
-/// probationary MRU position when full). Victims come from the
-/// probationary LRU end first, so a one-pass scan only ever churns the
-/// probationary segment — the hot set in protected survives.
-pub struct SlruPolicy {
-    protected_cap: usize,
-    tick: u64,
-    probation: HashMap<Key, u64>,
-    probation_order: BTreeSet<(u64, Key)>,
-    protected: HashMap<Key, u64>,
-    protected_order: BTreeSet<(u64, Key)>,
-}
-
-impl SlruPolicy {
-    /// Creates the policy with an explicit protected-segment capacity.
-    ///
-    /// # Panics
-    /// Panics if `protected_cap == 0`.
-    pub fn new(protected_cap: usize) -> Self {
-        assert!(protected_cap > 0, "protected capacity must be positive");
-        SlruPolicy {
-            protected_cap,
-            tick: 0,
-            probation: HashMap::new(),
-            probation_order: BTreeSet::new(),
-            protected: HashMap::new(),
-            protected_order: BTreeSet::new(),
-        }
-    }
-
-    /// Sizes the protected segment from the table capacity (80%).
-    pub fn from_capacity(capacity: usize) -> Self {
-        Self::new((capacity * SLRU_PROTECTED_NUM / SLRU_PROTECTED_DEN).max(1))
-    }
-
-    /// Number of keys currently in the protected segment.
-    pub fn protected_len(&self) -> usize {
-        self.protected.len()
-    }
-
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-}
-
-impl CachePolicy for SlruPolicy {
-    fn on_insert(&mut self, key: Key) {
-        // Re-admission of an already-tracked key (the staging-region
-        // repin path) is a touch of its current segment, not a demotion.
-        if let Some(&t) = self.protected.get(&key) {
-            self.protected_order.remove(&(t, key));
-            let nt = self.next_tick();
-            self.protected.insert(key, nt);
-            self.protected_order.insert((nt, key));
-            return;
-        }
-        if let Some(old) = self.probation.get(&key).copied() {
-            self.probation_order.remove(&(old, key));
-        }
-        let t = self.next_tick();
-        self.probation.insert(key, t);
-        self.probation_order.insert((t, key));
-    }
-
-    fn on_access(&mut self, key: Key) {
-        if let Some(&t) = self.protected.get(&key) {
-            self.protected_order.remove(&(t, key));
-            let nt = self.next_tick();
-            self.protected.insert(key, nt);
-            self.protected_order.insert((nt, key));
-            return;
-        }
-        if let Some(t) = self.probation.remove(&key) {
-            self.probation_order.remove(&(t, key));
-            let nt = self.next_tick();
-            self.protected.insert(key, nt);
-            self.protected_order.insert((nt, key));
-            // Overflowing protected demotes its LRU back to probation
-            // as the most-recent probationary key (it keeps a fair
-            // shot at re-promotion, but is no longer scan-proof).
-            while self.protected.len() > self.protected_cap {
-                let &(dt, dk) = self
-                    .protected_order
-                    .iter()
-                    .next()
-                    .expect("protected non-empty while over cap");
-                self.protected_order.remove(&(dt, dk));
-                self.protected.remove(&dk);
-                let nt = self.next_tick();
-                self.probation.insert(dk, nt);
-                self.probation_order.insert((nt, dk));
-            }
-        }
-    }
-
-    fn on_remove(&mut self, key: Key) {
-        if let Some(t) = self.probation.remove(&key) {
-            self.probation_order.remove(&(t, key));
-        } else if let Some(t) = self.protected.remove(&key) {
-            self.protected_order.remove(&(t, key));
-        }
-    }
-
-    fn pop_victim(&mut self) -> Option<Key> {
-        if let Some(&(t, key)) = self.probation_order.iter().next() {
-            self.probation_order.remove(&(t, key));
-            self.probation.remove(&key);
-            return Some(key);
-        }
-        let &(t, key) = self.protected_order.iter().next()?;
-        self.protected_order.remove(&(t, key));
-        self.protected.remove(&key);
-        Some(key)
-    }
-
-    fn len(&self) -> usize {
-        self.probation.len() + self.protected.len()
-    }
-}
-
 /// LFU with dynamic aging: each key's priority is `age + freq`, where
 /// `age` is a global term set to the victim's priority at every
 /// eviction. A formerly-hot key stops being touched, the age term
@@ -717,321 +489,6 @@ impl CachePolicy for LfudaPolicy {
 
     fn len(&self) -> usize {
         self.state.len()
-    }
-}
-
-/// Fixed-point scale for GDSF's cost/size ratio so priorities stay in
-/// exact integer arithmetic (deterministic across platforms).
-pub const GDSF_SCALE: u64 = 1024;
-
-/// Greedy-Dual-Size-Frequency: priority is
-/// `age + freq · cost · SCALE / size` with the same dynamic-aging term
-/// as LFUDA. Cost is the α-β refetch price of the row (message header
-/// plus payload), size its cache footprint, both in bytes — so small
-/// per-key messages (high α share) are worth keeping relative to their
-/// footprint, and expensive-to-refetch rows outrank cheap ones.
-pub struct GdsfPolicy {
-    age: u64,
-    tick: u64,
-    // Remembered (cost, size) from the latest priced insert, used when
-    // a key is re-admitted without a price (the repin path). Tables
-    // hold uniform-dimension rows, so this matches the real price.
-    default_price: (u64, u64),
-    state: HashMap<Key, GdsfEntry>,
-    order: BTreeSet<(u64, u64, Key)>, // (priority, tick, key)
-}
-
-#[derive(Clone, Copy)]
-struct GdsfEntry {
-    freq: u64,
-    cost: u64,
-    size: u64,
-    pri: u64,
-    tick: u64,
-}
-
-impl GdsfPolicy {
-    /// Creates an empty GDSF policy.
-    pub fn new() -> Self {
-        GdsfPolicy {
-            age: 0,
-            tick: 0,
-            default_price: (1, 1),
-            state: HashMap::new(),
-            order: BTreeSet::new(),
-        }
-    }
-
-    /// The current global age term (the last victim's priority).
-    pub fn age(&self) -> u64 {
-        self.age
-    }
-
-    fn priority(age: u64, freq: u64, cost: u64, size: u64) -> u64 {
-        age + freq * cost * GDSF_SCALE / size
-    }
-}
-
-impl Default for GdsfPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CachePolicy for GdsfPolicy {
-    fn on_insert(&mut self, key: Key) {
-        let (cost, size) = self.default_price;
-        self.on_insert_cost(key, cost, size);
-    }
-
-    fn on_insert_cost(&mut self, key: Key, cost_bytes: u64, size_bytes: u64) {
-        let cost = cost_bytes.max(1);
-        let size = size_bytes.max(1);
-        self.default_price = (cost, size);
-        self.tick += 1;
-        if let Some(&e) = self.state.get(&key) {
-            // Repin of a tracked key: refresh recency, keep its score.
-            self.order.remove(&(e.pri, e.tick, key));
-            let ne = GdsfEntry {
-                tick: self.tick,
-                ..e
-            };
-            self.state.insert(key, ne);
-            self.order.insert((ne.pri, ne.tick, key));
-            return;
-        }
-        let pri = Self::priority(self.age, 1, cost, size);
-        self.state.insert(
-            key,
-            GdsfEntry {
-                freq: 1,
-                cost,
-                size,
-                pri,
-                tick: self.tick,
-            },
-        );
-        self.order.insert((pri, self.tick, key));
-    }
-
-    fn on_access(&mut self, key: Key) {
-        let Some(&e) = self.state.get(&key) else {
-            return;
-        };
-        self.tick += 1;
-        self.order.remove(&(e.pri, e.tick, key));
-        let freq = e.freq + 1;
-        let pri = Self::priority(self.age, freq, e.cost, e.size);
-        let ne = GdsfEntry {
-            freq,
-            pri,
-            tick: self.tick,
-            ..e
-        };
-        self.state.insert(key, ne);
-        self.order.insert((pri, self.tick, key));
-    }
-
-    fn on_remove(&mut self, key: Key) {
-        if let Some(e) = self.state.remove(&key) {
-            self.order.remove(&(e.pri, e.tick, key));
-        }
-    }
-
-    fn pop_victim(&mut self) -> Option<Key> {
-        let &(p, t, key) = self.order.iter().next()?;
-        self.order.remove(&(p, t, key));
-        self.state.remove(&key);
-        self.age = p;
-        Some(key)
-    }
-
-    fn len(&self) -> usize {
-        self.state.len()
-    }
-}
-
-/// SpaceSaving sketch width used by the adaptive meta-policy.
-const ADAPTIVE_SKETCH_KEYS: usize = 64;
-/// How many sketch heads count as "the hot set" in the skew estimate.
-const ADAPTIVE_HOT_TOP: usize = 8;
-/// Hot-set mass fraction at or above which the stream is skewed enough
-/// for frequency-with-aging (LFUDA) to win.
-const ADAPTIVE_SKEW_HIGH: f64 = 0.5;
-/// Hot-set mass fraction at or above which scan-resistant recency
-/// (SLRU) is preferred; below it plain LRU is cheapest.
-const ADAPTIVE_SKEW_LOW: f64 = 0.2;
-
-/// Adaptive meta-policy: delegates to a live inner policy and watches
-/// the access stream through a SpaceSaving sketch. Every `window`
-/// observations (inserts + accesses) it estimates skew as the mass
-/// fraction of the sketch's top heads and switches the inner policy —
-/// high skew → LFUDA, moderate → SLRU, flat → LRU.
-///
-/// Determinism rule: evaluation points are a pure function of the
-/// observation count, the sketch state is a pure function of the
-/// observed key sequence, and on a switch the resident set is replayed
-/// into the successor in recency order (oldest first) from the
-/// meta-policy's own ordered bookkeeping — so same-seed runs switch at
-/// identical points and stay byte-identical. Each switch emits a
-/// `cache.policy_switch` instant event and bumps the
-/// `cache.policy_switches` counter.
-pub struct AdaptivePolicy {
-    capacity: usize,
-    window: u64,
-    obs_in_window: u64,
-    total_obs: u64,
-    current: PolicyKind,
-    inner: Box<dyn CachePolicy>,
-    sketch: SpaceSaving,
-    tick: u64,
-    recency: HashMap<Key, u64>,
-    order: BTreeSet<(u64, Key)>,
-    switches: u64,
-}
-
-impl AdaptivePolicy {
-    /// Creates the meta-policy for a table of the given capacity,
-    /// evaluating skew every `window` observations. Starts on SLRU
-    /// (the middle ground) until the first evaluation.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0` or `window == 0`.
-    pub fn new(capacity: usize, window: u64) -> Self {
-        assert!(capacity > 0, "adaptive policy needs a positive capacity");
-        assert!(window > 0, "adaptive evaluation window must be positive");
-        let current = PolicyKind::Slru;
-        AdaptivePolicy {
-            capacity,
-            window,
-            obs_in_window: 0,
-            total_obs: 0,
-            current,
-            inner: current.build(capacity),
-            sketch: SpaceSaving::new(ADAPTIVE_SKETCH_KEYS),
-            tick: 0,
-            recency: HashMap::new(),
-            order: BTreeSet::new(),
-            switches: 0,
-        }
-    }
-
-    /// The kind of the currently live inner policy.
-    pub fn current_kind(&self) -> PolicyKind {
-        self.current
-    }
-
-    /// Number of switches performed so far.
-    pub fn switches(&self) -> u64 {
-        self.switches
-    }
-
-    fn touch(&mut self, key: Key) {
-        self.tick += 1;
-        if let Some(old) = self.recency.insert(key, self.tick) {
-            self.order.remove(&(old, key));
-        }
-        self.order.insert((self.tick, key));
-    }
-
-    fn observe(&mut self, key: Key) {
-        self.sketch.observe(key);
-        self.obs_in_window += 1;
-        self.total_obs += 1;
-        if self.obs_in_window >= self.window {
-            self.obs_in_window = 0;
-            self.evaluate();
-            // Fresh sketch per window so the estimate tracks drift
-            // instead of the all-time distribution.
-            self.sketch = SpaceSaving::new(ADAPTIVE_SKETCH_KEYS);
-        }
-    }
-
-    fn evaluate(&mut self) {
-        let total = self.sketch.total();
-        if total == 0 {
-            return;
-        }
-        let hot: u64 = self
-            .sketch
-            .top(ADAPTIVE_HOT_TOP)
-            .iter()
-            .map(|&(_, count)| count)
-            .sum();
-        let hot_frac = hot as f64 / total as f64;
-        let next = if hot_frac >= ADAPTIVE_SKEW_HIGH {
-            PolicyKind::Lfuda
-        } else if hot_frac >= ADAPTIVE_SKEW_LOW {
-            PolicyKind::Slru
-        } else {
-            PolicyKind::Lru
-        };
-        if next != self.current {
-            self.switch_to(next, hot_frac);
-        }
-    }
-
-    fn switch_to(&mut self, next: PolicyKind, hot_frac: f64) {
-        let mut fresh = next.build(self.capacity);
-        // Replay residents oldest-first so the successor's recency
-        // order mirrors ours — deterministic for same-seed runs.
-        for &(_, key) in &self.order {
-            fresh.on_insert(key);
-        }
-        self.inner = fresh;
-        self.switches += 1;
-        het_trace::count!("cache", "policy_switches");
-        het_trace::event!("cache", "policy_switch",
-            "from" => self.current.to_string(),
-            "to" => next.to_string(),
-            "hot_frac" => hot_frac,
-            "resident" => self.order.len(),
-            "observations" => self.total_obs,
-        );
-        self.current = next;
-    }
-}
-
-impl CachePolicy for AdaptivePolicy {
-    fn on_insert(&mut self, key: Key) {
-        self.touch(key);
-        self.observe(key);
-        self.inner.on_insert(key);
-    }
-
-    fn on_insert_cost(&mut self, key: Key, cost_bytes: u64, size_bytes: u64) {
-        self.touch(key);
-        self.observe(key);
-        self.inner.on_insert_cost(key, cost_bytes, size_bytes);
-    }
-
-    fn on_access(&mut self, key: Key) {
-        self.touch(key);
-        self.observe(key);
-        self.inner.on_access(key);
-    }
-
-    fn on_remove(&mut self, key: Key) {
-        if let Some(t) = self.recency.remove(&key) {
-            self.order.remove(&(t, key));
-        }
-        self.inner.on_remove(key);
-    }
-
-    fn pop_victim(&mut self) -> Option<Key> {
-        let key = self.inner.pop_victim()?;
-        if let Some(t) = self.recency.remove(&key) {
-            self.order.remove(&(t, key));
-        }
-        Some(key)
-    }
-
-    fn len(&self) -> usize {
-        self.recency.len()
-    }
-
-    fn switch_count(&self) -> u64 {
-        self.switches
     }
 }
 
@@ -1185,7 +642,7 @@ mod tests {
     #[test]
     fn kinds_build_working_policies() {
         for kind in PolicyKind::ALL {
-            let mut p = kind.build(8);
+            let mut p = kind.build();
             p.on_insert(5);
             p.on_access(5);
             assert_eq!(p.len(), 1, "{kind}");
@@ -1233,55 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn slru_survives_a_scan() {
-        let mut p = SlruPolicy::new(4);
-        // Build a hot set that has been re-referenced (protected).
-        for k in 0..3u64 {
-            p.on_insert(k);
-            p.on_access(k);
-        }
-        assert_eq!(p.protected_len(), 3);
-        // A one-pass scan: inserted once, never re-referenced.
-        for k in 100..110u64 {
-            p.on_insert(k);
-        }
-        // Every victim is a scan key until the probationary segment is
-        // exhausted — the hot set is untouchable.
-        for _ in 0..10 {
-            let v = p.pop_victim().unwrap();
-            assert!(v >= 100, "scan key evicted before hot set, got {v}");
-        }
-        // Only now does SLRU fall back to the protected LRU.
-        assert_eq!(p.pop_victim(), Some(0));
-    }
-
-    #[test]
-    fn slru_demotes_protected_overflow() {
-        let mut p = SlruPolicy::new(2);
-        for k in 0..3u64 {
-            p.on_insert(k);
-        }
-        p.on_access(0);
-        p.on_access(1);
-        p.on_access(2); // protected over cap: demotes 0 back to probation
-        assert_eq!(p.protected_len(), 2);
-        // 0 is now the probationary victim.
-        assert_eq!(p.pop_victim(), Some(0));
-    }
-
-    #[test]
-    fn slru_remove_unlinks_both_segments() {
-        let mut p = SlruPolicy::new(4);
-        p.on_insert(1);
-        p.on_insert(2);
-        p.on_access(1); // 1 protected, 2 probationary
-        p.on_remove(1);
-        p.on_remove(2);
-        assert!(p.is_empty());
-        assert_eq!(p.pop_victim(), None);
-    }
-
-    #[test]
     fn lfuda_ages_out_formerly_hot_keys() {
         let mut p = LfudaPolicy::new();
         p.on_insert(1);
@@ -1311,133 +719,5 @@ mod tests {
         p.on_insert(1);
         p.on_insert(2);
         assert_eq!(p.pop_victim(), Some(1));
-    }
-
-    #[test]
-    fn gdsf_prefers_evicting_cheap_rows() {
-        let mut p = GdsfPolicy::new();
-        // Same frequency, same size, different refetch cost.
-        p.on_insert_cost(1, 1000, 64);
-        p.on_insert_cost(2, 100, 64);
-        assert_eq!(p.pop_victim(), Some(2), "cheap-to-refetch goes first");
-        // Frequency outweighs a moderate cost edge.
-        let mut p = GdsfPolicy::new();
-        p.on_insert_cost(1, 100, 64);
-        p.on_insert_cost(2, 150, 64);
-        p.on_access(1);
-        p.on_access(1);
-        assert_eq!(p.pop_victim(), Some(2));
-    }
-
-    #[test]
-    fn gdsf_aging_mirrors_lfuda() {
-        let mut p = GdsfPolicy::new();
-        // Uniform cost/size ratio of 1: each access step is GDSF_SCALE.
-        p.on_insert_cost(1, 100, 100);
-        for _ in 0..9 {
-            p.on_access(1); // pri = 10·SCALE, then frozen
-        }
-        // Same dynamic-aging property as LFUDA: the stale hot key is
-        // evicted once the floor catches its frozen priority 10·SCALE.
-        let mut aged_out_at = None;
-        let mut k = 10u64;
-        while aged_out_at.is_none() && k < 1000 {
-            p.on_insert_cost(k, 100, 100);
-            if p.len() > 3 && p.pop_victim() == Some(1) {
-                aged_out_at = Some(p.age());
-            }
-            k += 1;
-        }
-        let age = aged_out_at.expect("stale hot key never aged out");
-        assert!(age >= 10 * GDSF_SCALE, "evicted early, age {age}");
-    }
-
-    #[test]
-    fn cost_model_is_alpha_beta() {
-        assert_eq!(fetch_cost_bytes(0), FETCH_COST_ALPHA_BYTES);
-        assert_eq!(
-            fetch_cost_bytes(128),
-            FETCH_COST_ALPHA_BYTES + 128 * FETCH_COST_BETA_BYTES
-        );
-        assert_eq!(row_size_bytes(0), 1, "size is floored at one byte");
-        assert_eq!(row_size_bytes(16), 64);
-    }
-
-    #[test]
-    fn adaptive_switches_to_lfuda_under_skew() {
-        let mut p = AdaptivePolicy::new(64, 32);
-        assert_eq!(p.current_kind(), PolicyKind::Slru);
-        for k in 0..8u64 {
-            p.on_insert(k);
-        }
-        // Hammer two keys: the window's hot mass is concentrated.
-        for i in 0..200u64 {
-            p.on_access(i % 2);
-        }
-        assert_eq!(p.current_kind(), PolicyKind::Lfuda);
-        assert!(p.switches() >= 1);
-        assert_eq!(p.switch_count(), p.switches());
-    }
-
-    #[test]
-    fn adaptive_switches_to_lru_on_flat_stream() {
-        let mut p = AdaptivePolicy::new(64, 64);
-        // Uniform sweep over many more keys than sketch heads: the
-        // top-8 mass fraction is tiny.
-        for i in 0..2048u64 {
-            p.on_insert(i % 1024);
-        }
-        assert_eq!(p.current_kind(), PolicyKind::Lru);
-    }
-
-    #[test]
-    fn adaptive_preserves_residents_across_a_switch() {
-        let mut p = AdaptivePolicy::new(64, 16);
-        for k in 0..10u64 {
-            p.on_insert(k);
-        }
-        // Force a switch by skewing the stream.
-        for _ in 0..32 {
-            p.on_access(0);
-        }
-        assert!(p.switches() >= 1, "stream should have forced a switch");
-        assert_eq!(p.len(), 10, "residents must survive the switch");
-        // Every resident is still evictable exactly once.
-        let mut victims = BTreeSet::new();
-        while let Some(v) = p.pop_victim() {
-            assert!(victims.insert(v), "duplicate victim {v}");
-        }
-        assert_eq!(victims.len(), 10);
-    }
-
-    #[test]
-    fn adaptive_switch_points_are_deterministic() {
-        let run = || {
-            let mut p = AdaptivePolicy::new(32, 16);
-            let mut victims = Vec::new();
-            for i in 0..400u64 {
-                let k = (i * i + 7) % 97;
-                if i % 5 == 0 {
-                    p.on_insert(k);
-                } else {
-                    p.on_access(k % 13);
-                }
-                if p.len() > 32 {
-                    victims.push(p.pop_victim().unwrap());
-                }
-            }
-            (victims, p.switches())
-        };
-        let (v1, s1) = run();
-        let (v2, s2) = run();
-        assert_eq!(v1, v2);
-        assert_eq!(s1, s2);
-        assert!(s1 >= 1, "trace should exercise at least one switch");
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be positive")]
-    fn adaptive_zero_window_rejected() {
-        let _ = AdaptivePolicy::new(8, 0);
     }
 }

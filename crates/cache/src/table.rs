@@ -6,7 +6,7 @@
 //! eviction policy. See the crate docs for the clock semantics.
 
 use crate::entry::{CacheEntry, EvictedEntry};
-use crate::policy::{fetch_cost_bytes, row_size_bytes, CachePolicy, PolicyKind};
+use crate::policy::{CachePolicy, PolicyKind};
 use crate::stats::CacheStats;
 use crate::Key;
 use std::collections::HashMap;
@@ -39,7 +39,7 @@ impl CacheTable {
         assert!(capacity > 0, "cache capacity must be positive");
         CacheTable {
             entries: HashMap::with_capacity(capacity + 1),
-            policy: policy.build(capacity),
+            policy: policy.build(),
             capacity,
             lr,
             stats: CacheStats::default(),
@@ -89,14 +89,6 @@ impl CacheTable {
     /// Hit/miss counters.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Number of online policy switches the eviction policy performed
-    /// (non-zero only for [`PolicyKind::Adaptive`]). Kept out of
-    /// [`CacheStats`] so report bytes stay stable across policies; the
-    /// `cache.policy_switches` trace counter mirrors it.
-    pub fn policy_switches(&self) -> u64 {
-        self.policy.switch_count()
     }
 
     /// Resets the counters (e.g. between measurement epochs).
@@ -175,11 +167,7 @@ impl CacheTable {
                 None
             }
             None => {
-                // Price the insert for cost-aware policies (GDSF): the
-                // α-β refetch cost and cache footprint of this row.
-                let dim = vector.len();
-                self.policy
-                    .on_insert_cost(key, fetch_cost_bytes(dim), row_size_bytes(dim));
+                self.policy.on_insert(key);
                 het_trace::count!("cache", "installs");
                 None
             }

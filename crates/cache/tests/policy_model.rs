@@ -12,31 +12,24 @@
 //! oracle enforces): `on_insert` only for untracked keys, `on_access`
 //! and `on_remove` only for tracked ones, `pop_victim` whenever
 //! non-empty. The staging-region interaction (pinned prefetches are
-//! never evicted, for every policy including the adaptive meta-policy)
-//! is exercised at the `CacheTable` level at the bottom of this file.
+//! never evicted, for every policy) is exercised at the `CacheTable` level at the bottom of this file.
 
-use het_cache::{CacheTable, PolicyKind, GDSF_SCALE};
+use het_cache::{CacheTable, PolicyKind};
 use het_rng::rngs::StdRng;
 use het_rng::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 type Key = u64;
 
-/// Table capacity the policies are built against. Only SLRU (protected
-/// segment = 80% of capacity) and Adaptive read it.
-const CAPACITY: usize = 10;
 /// Key universe of the random traces — small enough that insert,
 /// access, remove, and pop all interleave densely.
 const KEY_SPACE: u64 = 64;
-/// SLRU's protected-segment size at [`CAPACITY`] (the `from_capacity`
-/// 4/5 split mirrored here so the reference model agrees).
-const SLRU_PROTECTED_CAP: usize = CAPACITY * 4 / 5;
 
 // ---------------------------------------------------------------------
 // Naive O(n) reference models
 // ---------------------------------------------------------------------
 
-/// One reference model per fixed policy. Each restates the eviction
+/// One reference model per policy. Each restates the eviction
 /// rule in the most literal form possible: unordered `Vec`s scanned in
 /// full at every pop.
 enum RefModel {
@@ -57,27 +50,12 @@ enum RefModel {
         ring: VecDeque<Key>,
         referenced: Vec<(Key, bool)>,
     },
-    /// Two LRU segments; victims from probation first; protected
-    /// overflow demotes its LRU to the probationary MRU position.
-    Slru {
-        cap: usize,
-        tick: u64,
-        probation: Vec<(Key, u64)>,
-        protected: Vec<(Key, u64)>,
-    },
     /// Victim: min (age-based priority, tick); age jumps to the
     /// victim's priority.
     Lfuda {
         age: u64,
         tick: u64,
         m: Vec<(Key, u64, u64, u64)>, // (key, freq, pri, tick)
-    },
-    /// LFUDA with the cost/size term: pri = age + freq·cost·SCALE/size.
-    Gdsf {
-        age: u64,
-        tick: u64,
-        default_price: (u64, u64),
-        m: Vec<(Key, u64, u64, u64, u64, u64)>, // (key, freq, cost, size, pri, tick)
     },
 }
 
@@ -102,32 +80,16 @@ impl RefModel {
                 ring: VecDeque::new(),
                 referenced: Vec::new(),
             },
-            PolicyKind::Slru => RefModel::Slru {
-                cap: SLRU_PROTECTED_CAP,
-                tick: 0,
-                probation: Vec::new(),
-                protected: Vec::new(),
-            },
             PolicyKind::Lfuda => RefModel::Lfuda {
                 age: 0,
                 tick: 0,
                 m: Vec::new(),
             },
-            PolicyKind::Gdsf => RefModel::Gdsf {
-                age: 0,
-                tick: 0,
-                default_price: (1, 1),
-                m: Vec::new(),
-            },
-            PolicyKind::Adaptive { .. } => {
-                unreachable!("the adaptive meta-policy has no single-rule reference")
-            }
         }
     }
 
-    /// Insert of an untracked key; `price` is Some for a priced insert
-    /// (`on_insert_cost`), None for the plain path.
-    fn insert(&mut self, key: Key, price: Option<(u64, u64)>) {
+    /// Insert of an untracked key.
+    fn insert(&mut self, key: Key) {
         match self {
             RefModel::Lru { tick, m } => {
                 *tick += 1;
@@ -145,30 +107,9 @@ impl RefModel {
                 ring.push_back(key);
                 referenced.push((key, true));
             }
-            RefModel::Slru {
-                tick, probation, ..
-            } => {
-                *tick += 1;
-                probation.push((key, *tick));
-            }
             RefModel::Lfuda { age, tick, m } => {
                 *tick += 1;
                 m.push((key, 1, *age + 1, *tick));
-            }
-            RefModel::Gdsf {
-                age,
-                tick,
-                default_price,
-                m,
-            } => {
-                let (cost, size) = match price {
-                    Some((c, s)) => (c.max(1), s.max(1)),
-                    None => *default_price,
-                };
-                *default_price = (cost, size);
-                *tick += 1;
-                let pri = *age + cost * GDSF_SCALE / size;
-                m.push((key, 1, cost, size, pri, *tick));
             }
         }
     }
@@ -213,44 +154,12 @@ impl RefModel {
                     .expect("resident");
                 e.1 = true;
             }
-            RefModel::Slru {
-                cap,
-                tick,
-                probation,
-                protected,
-            } => {
-                if let Some(e) = protected.iter_mut().find(|e| e.0 == key) {
-                    *tick += 1;
-                    e.1 = *tick;
-                    return;
-                }
-                let i = probation.iter().position(|e| e.0 == key).expect("resident");
-                probation.remove(i);
-                *tick += 1;
-                protected.push((key, *tick));
-                while protected.len() > *cap {
-                    // Demote the protected LRU back to probationary MRU.
-                    let j = (0..protected.len())
-                        .min_by_key(|&j| protected[j].1)
-                        .expect("non-empty while over cap");
-                    let (dk, _) = protected.remove(j);
-                    *tick += 1;
-                    probation.push((dk, *tick));
-                }
-            }
             RefModel::Lfuda { age, tick, m } => {
                 *tick += 1;
                 let e = m.iter_mut().find(|e| e.0 == key).expect("resident");
                 e.1 += 1;
                 e.2 = *age + e.1;
                 e.3 = *tick;
-            }
-            RefModel::Gdsf { age, tick, m, .. } => {
-                *tick += 1;
-                let e = m.iter_mut().find(|e| e.0 == key).expect("resident");
-                e.1 += 1;
-                e.4 = *age + e.1 * e.2 * GDSF_SCALE / e.3;
-                e.5 = *tick;
             }
         }
     }
@@ -267,16 +176,7 @@ impl RefModel {
                 referenced.retain(|e| e.0 != key);
                 ring.retain(|&k| k != key);
             }
-            RefModel::Slru {
-                probation,
-                protected,
-                ..
-            } => {
-                probation.retain(|e| e.0 != key);
-                protected.retain(|e| e.0 != key);
-            }
             RefModel::Lfuda { m, .. } => m.retain(|e| e.0 != key),
-            RefModel::Gdsf { m, .. } => m.retain(|e| e.0 != key),
         }
     }
 
@@ -320,31 +220,11 @@ impl RefModel {
                 }
                 None
             }
-            RefModel::Slru {
-                probation,
-                protected,
-                ..
-            } => {
-                if !probation.is_empty() {
-                    let i = (0..probation.len())
-                        .min_by_key(|&i| (probation[i].1, probation[i].0))
-                        .expect("non-empty");
-                    return Some(probation.remove(i).0);
-                }
-                let i = (0..protected.len()).min_by_key(|&i| (protected[i].1, protected[i].0))?;
-                Some(protected.remove(i).0)
-            }
             RefModel::Lfuda { age, m, .. } => {
                 let i = (0..m.len()).min_by_key(|&i| (m[i].2, m[i].3, m[i].0))?;
                 let (key, _, pri, _) = m.remove(i);
                 *age = pri;
                 Some(key)
-            }
-            RefModel::Gdsf { age, m, .. } => {
-                let i = (0..m.len()).min_by_key(|&i| (m[i].4, m[i].5, m[i].0))?;
-                let e = m.remove(i);
-                *age = e.4;
-                Some(e.0)
             }
         }
     }
@@ -355,13 +235,7 @@ impl RefModel {
             RefModel::Lfu { m, .. } => m.len(),
             RefModel::LightLfu { cold, hot, .. } => cold.len() + hot.len(),
             RefModel::Clock { referenced, .. } => referenced.len(),
-            RefModel::Slru {
-                probation,
-                protected,
-                ..
-            } => probation.len() + protected.len(),
             RefModel::Lfuda { m, .. } => m.len(),
-            RefModel::Gdsf { m, .. } => m.len(),
         }
     }
 }
@@ -375,12 +249,9 @@ impl RefModel {
 /// at every pop and identical tracked-set sizes at every step, then
 /// drains both to empty comparing the full victim tail.
 fn check_against_reference(kind: PolicyKind, seed: u64, ops: usize) {
-    check_against_model(kind, RefModel::for_kind(kind), seed, ops);
-}
-
-fn check_against_model(kind: PolicyKind, mut model: RefModel, seed: u64, ops: usize) {
+    let mut model = RefModel::for_kind(kind);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut policy = kind.build(CAPACITY);
+    let mut policy = kind.build();
     let mut resident: Vec<Key> = Vec::new();
 
     for step in 0..ops {
@@ -393,18 +264,8 @@ fn check_against_model(kind: PolicyKind, mut model: RefModel, seed: u64, ops: us
                     break k;
                 }
             };
-            // Half the inserts carry an α-β price (cost-aware path;
-            // cost/size of 0 checks the clamp), half take the plain
-            // default-forwarding path.
-            if rng.gen_bool(0.5) {
-                let cost = rng.gen_range(0u64..256);
-                let size = rng.gen_range(0u64..64);
-                policy.on_insert_cost(key, cost, size);
-                model.insert(key, Some((cost, size)));
-            } else {
-                policy.on_insert(key);
-                model.insert(key, None);
-            }
+            policy.on_insert(key);
+            model.insert(key);
             resident.push(key);
         } else if roll < 0.75 && !resident.is_empty() {
             let key = resident[rng.gen_range(0..resident.len())];
@@ -494,98 +355,9 @@ fn clock_matches_reference() {
 }
 
 #[test]
-fn slru_matches_reference() {
-    for seed in 0..SEEDS {
-        check_against_reference(PolicyKind::Slru, seed, OPS);
-    }
-}
-
-#[test]
 fn lfuda_matches_reference() {
     for seed in 0..SEEDS {
         check_against_reference(PolicyKind::Lfuda, seed, OPS);
-    }
-}
-
-#[test]
-fn gdsf_matches_reference() {
-    for seed in 0..SEEDS {
-        check_against_reference(PolicyKind::Gdsf, seed, OPS);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Adaptive meta-policy
-// ---------------------------------------------------------------------
-
-/// With an unreachable evaluation window the meta-policy never leaves
-/// its starting inner policy (SLRU), so its victim stream must equal
-/// the SLRU reference exactly.
-#[test]
-fn adaptive_with_unreachable_window_matches_slru_reference() {
-    for seed in 0..SEEDS {
-        check_against_model(
-            PolicyKind::Adaptive { window: 1 << 60 },
-            RefModel::for_kind(PolicyKind::Slru),
-            seed,
-            OPS,
-        );
-    }
-}
-
-/// Replays the same phased trace (skewed, then flat) twice and asserts
-/// byte-identical victim streams and switch counts — the determinism
-/// guarantee switch points are specced to have (pure function of the
-/// observation count, replay in recency order).
-#[test]
-fn adaptive_victim_stream_and_switches_replay_identically() {
-    let run = |seed: u64| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut policy = PolicyKind::Adaptive { window: 32 }.build(CAPACITY);
-        let mut resident: Vec<Key> = Vec::new();
-        let mut victims = Vec::new();
-        for step in 0..3_000usize {
-            // First half: 70% of accesses hit keys 0..4 (skewed).
-            // Second half: uniform (flat). The skew estimate must move
-            // enough to force at least one switch each way.
-            let hot = step < 1_500 && rng.gen_bool(0.7);
-            let roll: f64 = rng.gen();
-            if roll < 0.4 && (resident.len() as u64) < KEY_SPACE {
-                let hot_free = hot && (0..4).any(|k| !resident.contains(&k));
-                let key = loop {
-                    let k = if hot_free {
-                        rng.gen_range(0..4)
-                    } else {
-                        rng.gen_range(0..KEY_SPACE)
-                    };
-                    if !resident.contains(&k) {
-                        break k;
-                    }
-                };
-                policy.on_insert(key);
-                resident.push(key);
-            } else if roll < 0.85 && !resident.is_empty() {
-                let key = if hot && resident.iter().any(|&k| k < 4) {
-                    *resident.iter().find(|&&k| k < 4).expect("checked")
-                } else {
-                    resident[rng.gen_range(0..resident.len())]
-                };
-                policy.on_access(key);
-            } else if !resident.is_empty() {
-                let v = policy.pop_victim().expect("non-empty");
-                let i = resident.iter().position(|&k| k == v).expect("resident");
-                resident.swap_remove(i);
-                victims.push(v);
-            }
-        }
-        (victims, policy.switch_count())
-    };
-    for seed in [3u64, 17, 40] {
-        let (v1, s1) = run(seed);
-        let (v2, s2) = run(seed);
-        assert_eq!(v1, v2, "victim stream not deterministic (seed {seed})");
-        assert_eq!(s1, s2, "switch count not deterministic (seed {seed})");
-        assert!(s1 > 0, "phased trace forced no switch (seed {seed})");
     }
 }
 
@@ -593,7 +365,7 @@ fn adaptive_victim_stream_and_switches_replay_identically() {
 // Staging-region interaction (CacheTable level)
 // ---------------------------------------------------------------------
 
-/// For every policy in the zoo — adaptive included — prefetched entries
+/// For every policy in the zoo, prefetched entries
 /// pinned in the staging region must survive arbitrary overflow
 /// eviction until their first read consumes them.
 #[test]

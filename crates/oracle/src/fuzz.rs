@@ -92,9 +92,7 @@ impl Scenario {
                 staleness: rng.gen_range(0u64..5),
                 capacity_fraction: [0.05, 0.10, 0.30][rng.gen_range(0usize..3)],
                 policy: {
-                    // The full zoo, with a sweepable LightLFU threshold
-                    // and adaptive windows small enough that short fuzz
-                    // runs hit forced switch points.
+                    // The full zoo, with a sweepable LightLFU threshold.
                     let zoo = [
                         PolicyKind::Lru,
                         PolicyKind::Lfu,
@@ -103,12 +101,7 @@ impl Scenario {
                             promote_threshold: 4,
                         },
                         PolicyKind::Clock,
-                        PolicyKind::Slru,
                         PolicyKind::Lfuda,
-                        PolicyKind::Gdsf,
-                        PolicyKind::Adaptive { window: 8 },
-                        PolicyKind::Adaptive { window: 32 },
-                        PolicyKind::Adaptive { window: 128 },
                     ];
                     zoo[rng.gen_range(0usize..zoo.len())]
                 },
@@ -229,12 +222,7 @@ fn policy_to_json(policy: PolicyKind) -> Json {
             Json::UInt(promote_threshold),
         )]),
         PolicyKind::Clock => Json::Str("clock".to_string()),
-        PolicyKind::Slru => Json::Str("slru".to_string()),
         PolicyKind::Lfuda => Json::Str("lfuda".to_string()),
-        PolicyKind::Gdsf => Json::Str("gdsf".to_string()),
-        PolicyKind::Adaptive { window } => {
-            Json::Obj(vec![("adaptive".to_string(), Json::UInt(window))])
-        }
     }
 }
 
@@ -245,15 +233,13 @@ fn policy_from_json(json: &Json) -> Result<PolicyKind, String> {
         // Repro files written before the threshold was sweepable.
         Json::Str(p) if p == "light_lfu" => Ok(PolicyKind::light_lfu()),
         Json::Str(p) if p == "clock" => Ok(PolicyKind::Clock),
-        Json::Str(p) if p == "slru" => Ok(PolicyKind::Slru),
         Json::Str(p) if p == "lfuda" => Ok(PolicyKind::Lfuda),
-        Json::Str(p) if p == "gdsf" => Ok(PolicyKind::Gdsf),
-        Json::Obj(o) if o.iter().any(|(k, _)| k == "light_lfu") => Ok(PolicyKind::LightLfu {
-            promote_threshold: get_uint(o, "light_lfu")?,
-        }),
-        Json::Obj(o) if o.iter().any(|(k, _)| k == "adaptive") => Ok(PolicyKind::Adaptive {
-            window: get_uint(o, "adaptive")?,
-        }),
+        Json::Obj(o) if o.iter().any(|(k, _)| k == "light_lfu") => {
+            match get_uint(o, "light_lfu")? {
+                0 => Err("scenario: light_lfu threshold must be positive".to_string()),
+                promote_threshold => Ok(PolicyKind::LightLfu { promote_threshold }),
+            }
+        }
         other => Err(format!("scenario: bad policy {other:?}")),
     }
 }
@@ -710,6 +696,27 @@ mod tests {
     }
 
     #[test]
+    fn bad_repro_policies_are_errors_not_panics() {
+        let mut s = Scenario::sample(0xF00D, 0, 50);
+        s.sparse = SparseMode::Cached {
+            staleness: 1,
+            capacity_fraction: 0.1,
+            policy: PolicyKind::LightLfu {
+                promote_threshold: 0,
+            },
+        };
+        let err = Scenario::from_json(&s.to_json()).unwrap_err();
+        assert!(err.contains("threshold must be positive"), "{err}");
+        // Repro files naming a policy the zoo no longer has.
+        for gone in ["slru", "gdsf"] {
+            let err = policy_from_json(&Json::Str(gone.to_string())).unwrap_err();
+            assert!(err.starts_with("scenario: bad policy"), "{gone}: {err}");
+        }
+        let adaptive = Json::Obj(vec![("adaptive".to_string(), Json::UInt(32))]);
+        assert!(policy_from_json(&adaptive).is_err());
+    }
+
+    #[test]
     fn sampled_scenarios_cover_the_mode_matrix() {
         let mut bsp = 0;
         let mut asp = 0;
@@ -719,7 +726,6 @@ mod tests {
         let mut tiered = 0;
         let mut faulted = 0;
         let mut zoo: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        let mut adaptive = 0;
         for index in 0..200 {
             let s = Scenario::sample(3, index, 50);
             match s.sync {
@@ -730,9 +736,6 @@ mod tests {
             if let SparseMode::Cached { policy, .. } = s.sparse {
                 cached += 1;
                 zoo.insert(policy.to_string());
-                if policy.is_adaptive() {
-                    adaptive += 1;
-                }
             } else {
                 assert_eq!(s.lookahead, 0, "prefetch sampled without a cache");
             }
@@ -756,13 +759,11 @@ mod tests {
         assert!(prefetched > 30, "prefetched only {prefetched}/200");
         assert!(tiered > 30, "tiered only {tiered}/200");
         assert!(faulted > 30, "faulted only {faulted}/200");
-        // The policy dimension spans the whole zoo, with enough
-        // adaptive runs that forced switch points get exercised.
+        // The policy dimension spans the whole zoo.
         assert_eq!(
             zoo.into_iter().collect::<Vec<_>>(),
-            ["Adaptive", "CLOCK", "GDSF", "LFU", "LFUDA", "LRU", "LightLFU", "SLRU"],
+            ["CLOCK", "LFU", "LFUDA", "LRU", "LightLFU"],
         );
-        assert!(adaptive > 10, "adaptive only {adaptive}/200");
     }
 
     #[test]

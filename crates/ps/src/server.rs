@@ -5,6 +5,7 @@ use crate::sync::RwLock;
 use crate::Key;
 use het_store::{RowStore, StoreSpec, StoreStats, StoredRow};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
 /// Configuration of the embedding server.
 #[derive(Clone, Copy, Debug)]
@@ -100,6 +101,9 @@ pub struct PsServer {
     shards: Vec<RwLock<Shard>>,
     /// Applied in order by [`PsServer::shard_index_of`]; splits are
     /// append-only so routing decisions replay deterministically.
+    /// Client paths hold its read lock from routing until their shard
+    /// lock is taken; migration and sealing hold its write lock
+    /// throughout, so no key moves between a route and its use.
     splits: RwLock<Vec<SplitState>>,
     /// Disk nanoseconds accrued by client-path operations (pull, push,
     /// clock queries) since the last [`PsServer::take_io_ns`].
@@ -267,9 +271,13 @@ impl PsServer {
     /// migration has actually moved it there). With no splits this is
     /// the historical `splitmix64(key) % n_shards`.
     pub fn shard_index_of(&self, key: Key) -> usize {
+        self.route(&self.splits.read(), key)
+    }
+
+    /// [`PsServer::shard_index_of`] over an already-locked split log.
+    fn route(&self, splits: &[SplitState], key: Key) -> usize {
         let mut idx = (splitmix64(key) % self.base_shards as u64) as usize;
-        let splits = self.splits.read();
-        for s in splits.iter() {
+        for s in splits {
             if s.parent == idx
                 && child_side(key, s.salt)
                 && (s.complete || self.shards[s.child].read().store.contains(key))
@@ -292,8 +300,21 @@ impl PsServer {
         self.base_shards
     }
 
-    fn shard_of(&self, key: Key) -> &RwLock<Shard> {
-        &self.shards[self.shard_index_of(key)]
+    /// Routes `key` and write-locks its shard before releasing the
+    /// split log, so a concurrent migration cannot move the key in
+    /// between (a push would otherwise lazily recreate it on the parent
+    /// and the next batch would overwrite the child's row with it).
+    fn write_shard(&self, key: Key) -> (usize, RwLockWriteGuard<'_, Shard>) {
+        let splits = self.splits.read();
+        let idx = self.route(&splits, key);
+        (idx, self.shards[idx].write())
+    }
+
+    /// [`PsServer::write_shard`] for readers.
+    fn read_shard(&self, key: Key) -> (usize, RwLockReadGuard<'_, Shard>) {
+        let splits = self.splits.read();
+        let idx = self.route(&splits, key);
+        (idx, self.shards[idx].read())
     }
 
     /// Deterministic initial vector for a key: uniform in
@@ -323,11 +344,10 @@ impl PsServer {
 
     /// Pulls one embedding, lazily initialising it on first touch.
     pub fn pull(&self, key: Key) -> PullResult {
+        let (idx, mut guard) = self.write_shard(key);
         if het_trace::enabled() {
-            het_trace::counter_add_at("ps", "pulls", Some(self.shard_index_of(key) as u64), 1);
+            het_trace::counter_add_at("ps", "pulls", Some(idx as u64), 1);
         }
-        let shard = self.shard_of(key);
-        let mut guard = shard.write();
         let result = match guard.store.get(key) {
             Some(row) => PullResult {
                 vector: row.vector.clone(),
@@ -360,13 +380,13 @@ impl PsServer {
     /// Panics if the gradient length differs from the configured dim.
     pub fn push_with_clock(&self, key: Key, grad: &[f32], candidate_clock: u64) {
         assert_eq!(grad.len(), self.config.dim, "gradient dimension mismatch");
-        if het_trace::enabled() {
-            het_trace::counter_add_at("ps", "pushes", Some(self.shard_index_of(key) as u64), 1);
-        }
         let (lr, opt) = (self.config.lr, self.config.optimizer);
         let mut scratch = Vec::new();
         let grad = clipped(grad, self.config.grad_clip, &mut scratch);
-        let mut guard = self.shard_of(key).write();
+        let (idx, mut guard) = self.write_shard(key);
+        if het_trace::enabled() {
+            het_trace::counter_add_at("ps", "pushes", Some(idx as u64), 1);
+        }
         guard
             .store
             .apply(key, &mut || self.make_row(key), &mut |e| {
@@ -383,13 +403,13 @@ impl PsServer {
     /// Panics if the gradient length differs from the configured dim.
     pub fn push_inc(&self, key: Key, grad: &[f32]) {
         assert_eq!(grad.len(), self.config.dim, "gradient dimension mismatch");
-        if het_trace::enabled() {
-            het_trace::counter_add_at("ps", "pushes", Some(self.shard_index_of(key) as u64), 1);
-        }
         let (lr, opt) = (self.config.lr, self.config.optimizer);
         let mut scratch = Vec::new();
         let grad = clipped(grad, self.config.grad_clip, &mut scratch);
-        let mut guard = self.shard_of(key).write();
+        let (idx, mut guard) = self.write_shard(key);
+        if het_trace::enabled() {
+            het_trace::counter_add_at("ps", "pushes", Some(idx as u64), 1);
+        }
         guard
             .store
             .apply(key, &mut || self.make_row(key), &mut |e| {
@@ -405,15 +425,11 @@ impl PsServer {
     /// time, mirroring how the wire protocol ships clocks without
     /// payloads.
     pub fn clock_of(&self, key: Key) -> u64 {
+        let (idx, guard) = self.read_shard(key);
         if het_trace::enabled() {
-            het_trace::counter_add_at(
-                "ps",
-                "clock_queries",
-                Some(self.shard_index_of(key) as u64),
-                1,
-            );
+            het_trace::counter_add_at("ps", "clock_queries", Some(idx as u64), 1);
         }
-        self.shard_of(key).read().store.clock_of(key).unwrap_or(0)
+        guard.store.clock_of(key).unwrap_or(0)
     }
 
     /// Batched [`PsServer::clock_of`].
@@ -434,7 +450,7 @@ impl PsServer {
     /// Read-only snapshot of one vector without affecting clocks or tier
     /// residency — a test oracle helper.
     pub fn snapshot(&self, key: Key) -> Option<Vec<f32>> {
-        let mut guard = self.shard_of(key).write();
+        let (_, mut guard) = self.write_shard(key);
         let out = guard.store.peek(key).map(|e| e.vector);
         self.charge_background_io(&mut guard);
         out
@@ -464,7 +480,7 @@ impl PsServer {
     /// any existing entry, resetting optimiser state).
     pub fn restore_entry(&self, key: Key, vector: Vec<f32>, clock: u64) {
         assert_eq!(vector.len(), self.config.dim, "row dimension mismatch");
-        let mut guard = self.shard_of(key).write();
+        let (_, mut guard) = self.write_shard(key);
         guard.store.insert(
             key,
             StoredRow {
@@ -550,12 +566,22 @@ impl PsServer {
     }
 
     /// The in-flight split whose parent is `parent`, if any.
-    fn active_split(&self, parent: usize) -> Option<SplitState> {
-        self.splits
-            .read()
+    fn active_split(splits: &[SplitState], parent: usize) -> Option<SplitState> {
+        splits
             .iter()
             .find(|s| s.parent == parent && !s.complete)
             .copied()
+    }
+
+    /// Child-side keys of `split` still on its parent.
+    fn undrained(&self, split: SplitState) -> usize {
+        self.shards[split.parent]
+            .read()
+            .store
+            .sorted_keys()
+            .iter()
+            .filter(|&&k| child_side(k, split.salt))
+            .count()
     }
 
     /// Moves up to `max_keys` child-side keys (in ascending key order,
@@ -569,8 +595,11 @@ impl PsServer {
     /// # Panics
     /// Panics if `parent` has no migration in flight.
     pub fn migrate_batch(&self, parent: usize, max_keys: usize) -> usize {
-        let split = self
-            .active_split(parent)
+        // Held for the whole batch: routing cannot observe a key
+        // between its removal from the parent and its arrival on the
+        // child.
+        let splits = self.splits.write();
+        let split = Self::active_split(&splits, parent)
             .expect("migrate_batch: no migration in flight for this shard");
         let mut src = self.shards[split.parent].write();
         let mut moving: Vec<Key> = src.store.sorted_keys();
@@ -592,16 +621,8 @@ impl PsServer {
     /// Child-side keys still waiting on `parent` (0 once the migration
     /// has drained; also 0 when no migration is in flight).
     pub fn remaining_to_migrate(&self, parent: usize) -> usize {
-        let Some(split) = self.active_split(parent) else {
-            return 0;
-        };
-        self.shards[split.parent]
-            .read()
-            .store
-            .sorted_keys()
-            .iter()
-            .filter(|&&k| child_side(k, split.salt))
-            .count()
+        let splits = self.splits.read();
+        Self::active_split(&splits, parent).map_or(0, |split| self.undrained(split))
     }
 
     /// Seals a drained migration: from here on child-side keys route to
@@ -610,16 +631,19 @@ impl PsServer {
     /// # Panics
     /// Panics if `parent` has no migration in flight or keys remain.
     pub fn complete_split(&self, parent: usize) {
-        assert_eq!(
-            self.remaining_to_migrate(parent),
-            0,
-            "complete_split: migration not drained"
-        );
+        // The drain check and the seal happen under one write lock, so
+        // no push can recreate a child-side key on the parent between
+        // them.
         let mut splits = self.splits.write();
         let s = splits
             .iter_mut()
             .find(|s| s.parent == parent && !s.complete)
             .expect("complete_split: no migration in flight for this shard");
+        assert_eq!(
+            self.undrained(*s),
+            0,
+            "complete_split: migration not drained"
+        );
         s.complete = true;
     }
 }

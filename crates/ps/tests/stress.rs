@@ -27,7 +27,7 @@
 use het_ps::{PsConfig, PsServer, ServerOptimizer};
 use het_rng::rngs::StdRng;
 use het_rng::{Rng, RngCore, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const DIM: usize = 8;
@@ -182,65 +182,76 @@ fn bulk_pulls_and_snapshots_race_cleanly_with_writers() {
     assert_eq!(clock_sum, (WRITERS as u64) * PUSHES_PER_WRITER);
 }
 
+/// Writers race a live split of shard 0 into a spare. A push that
+/// routes to the parent just as migration moves its key must still
+/// land on the key's one live row, so the split scenario is repeated
+/// on fresh servers: a lost update shows up within a few rounds, not
+/// once in a few dozen runs.
 #[test]
 fn live_shard_split_preserves_every_update() {
+    const ROUNDS: u64 = 64;
     const WRITERS: usize = 3;
     const PUSHES_PER_WRITER: u64 = 1_500;
 
-    // One spare shard; a splitter thread live-migrates shard 0 into it
-    // while the writers keep pushing — the elasticity path the serve
-    // control plane drives, here raced for real.
-    let mut cfg = PsConfig::new(DIM);
-    cfg.n_shards = 2;
-    cfg.lr = 0.05;
-    let server = Arc::new(PsServer::with_spare_shards(cfg, 1));
-    let done = Arc::new(AtomicBool::new(false));
+    for round in 0..ROUNDS {
+        // One spare shard; a splitter thread live-migrates shard 0 into
+        // it while the writers keep pushing — the elasticity path the
+        // serve control plane drives, here raced for real.
+        let mut cfg = PsConfig::new(DIM);
+        cfg.n_shards = 2;
+        cfg.lr = 0.05;
+        let server = Arc::new(PsServer::with_spare_shards(cfg, 1));
+        let finished = Arc::new(AtomicUsize::new(0));
 
-    std::thread::scope(|scope| {
-        for w in 0..WRITERS {
-            let server = Arc::clone(&server);
-            let done = Arc::clone(&done);
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0x5117 + w as u64);
-                let grad = vec![0.03f32; DIM];
-                for _ in 0..PUSHES_PER_WRITER {
-                    server.push_inc(rng.next_u64() % N_KEYS, &grad);
-                    jitter(&mut rng);
-                }
-                done.store(true, Ordering::Release);
-            });
-        }
-        {
-            let server = Arc::clone(&server);
-            let done = Arc::clone(&done);
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0x1CE);
-                // Let some traffic land pre-split.
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                server.begin_split(0, 2, 0x5A17);
-                while server.remaining_to_migrate(0) > 0 && !done.load(Ordering::Acquire) {
-                    server.migrate_batch(0, 4);
-                    jitter(&mut rng);
-                }
-                // Drain whatever landed between the last batch and the
-                // writers finishing, then seal.
-                while server.remaining_to_migrate(0) > 0 {
-                    server.migrate_batch(0, 16);
-                }
-                server.complete_split(0);
-            });
-        }
-    });
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let server = Arc::clone(&server);
+                let finished = Arc::clone(&finished);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0x5117 + 16 * round + w as u64);
+                    let grad = vec![0.03f32; DIM];
+                    for _ in 0..PUSHES_PER_WRITER {
+                        server.push_inc(rng.next_u64() % N_KEYS, &grad);
+                        jitter(&mut rng);
+                    }
+                    finished.fetch_add(1, Ordering::Release);
+                });
+            }
+            {
+                let server = Arc::clone(&server);
+                let finished = Arc::clone(&finished);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0x1CE + round);
+                    // Let some traffic land pre-split.
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    server.begin_split(0, 2, 0x5A17 ^ round);
+                    // Migrate for as long as writers keep creating keys
+                    // on the parent.
+                    while finished.load(Ordering::Acquire) < WRITERS {
+                        server.migrate_batch(0, 4);
+                        jitter(&mut rng);
+                    }
+                    // Drain whatever landed after the last batch, then
+                    // seal: a seal must not race a writer that can still
+                    // create a child-side key on the parent.
+                    while server.remaining_to_migrate(0) > 0 {
+                        server.migrate_batch(0, 16);
+                    }
+                    server.complete_split(0);
+                });
+            }
+        });
 
-    let clock_sum: u64 = (0..N_KEYS).map(|k| server.clock_of(k)).sum();
-    assert_eq!(
-        clock_sum,
-        (WRITERS as u64) * PUSHES_PER_WRITER,
-        "no update may be lost or double-applied across a live split"
-    );
-    for key in 0..N_KEYS {
-        let got = server.pull(key);
-        assert_eq!(got.vector.len(), DIM);
-        assert!(got.vector.iter().all(|v| v.is_finite()));
+        let clock_sum: u64 = (0..N_KEYS).map(|k| server.clock_of(k)).sum();
+        assert_eq!(
+            clock_sum,
+            (WRITERS as u64) * PUSHES_PER_WRITER,
+            "round {round}: no update may be lost or double-applied across a live split"
+        );
+        for key in 0..N_KEYS {
+            let got = server.pull(key);
+            assert_eq!(got.vector.len(), DIM);
+            assert!(got.vector.iter().all(|v| v.is_finite()));
+        }
     }
 }

@@ -65,7 +65,7 @@ impl TieredStore {
             shard,
             capacity,
             hot: HashMap::new(),
-            policy: cfg.policy.build(capacity),
+            policy: cfg.policy.build(),
             cold,
             hot_and_cold: 0,
             recovered_rows,
@@ -156,10 +156,7 @@ impl TieredStore {
             .expect("promote: cold index must hold the key");
         let read_bytes = self.cold.read_bytes - rb0;
         self.make_room();
-        // Cost for cost-aware policies: the disk bytes a refetch would
-        // re-read; size: the row's in-memory footprint.
-        self.policy
-            .on_insert_cost(key, read_bytes.max(1), (row.vector.len() as u64 * 4).max(1));
+        self.policy.on_insert(key);
         self.hot.insert(key, HotRow { row, dirty: false });
         self.hot_and_cold += 1;
         self.promotions += 1;

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 /// | component | emits |
 /// |-----------|-------|
 /// | `autoscaler` | events: `scale_up`, `scale_down` (fleet resize decisions with queue/p99 evidence); counters: evals, scale_ups, scale_downs |
-/// | `cache`   | events: `policy_switch` (adaptive meta-policy changed its inner eviction policy; fields: from, to, hot_frac, resident, observations); counters: hits, misses, installs, writebacks, evictions, capacity_evictions, invalidations, dirtied, crash_drops, prefetch_installs, prefetch_hits, prefetch_wasted, policy_switches |
+/// | `cache`   | counters: hits, misses, installs, writebacks, evictions, capacity_evictions, invalidations, dirtied, crash_drops, prefetch_installs, prefetch_hits, prefetch_wasted |
 /// | `client`  | events: `read_window` (staleness-validation outcome per read) |
 /// | `prefetcher` | events: `prefetch_issue` (span: lookahead pull in flight), `prefetch_install` (results landed in a worker cache, with waited_ns), `prefetch_hit` (reads served by unconsumed prefetches), `prefetch_waste`, `prefetch_cancel` (crash/outage invalidation); counters: issued_keys, cancelled_keys (per worker) |
 /// | `ps`      | events: `failover`; counters: pulls, pushes (per shard) |
