@@ -65,15 +65,19 @@ case "$out" in
     *) echo "unexpected error: $out"; exit 1 ;;
 esac
 
-echo "==> bad --policy values are errors, not panics (lightlfu:0 must fail cleanly)"
-if out=$(cargo run -q --release -p het-bench --bin hetctl -- train \
-        --workload wdl --iters 4 --policy lightlfu:0 2>&1); then
-    echo "--policy lightlfu:0 exited 0; expected a refusal"
-    exit 1
-fi
-case "$out" in
-    *panicked*) echo "--policy lightlfu:0 panicked: $out"; exit 1 ;;
-esac
+echo "==> bad CLI values are errors, not panics (each must fail cleanly)"
+for bad in "train --workload wdl --iters 4 --policy lightlfu:0" \
+           "train --workload wdl --iters 4 --workers 0" \
+           "serve --max-batch 0"; do
+    # $bad is split into words on purpose.
+    if out=$(cargo run -q --release -p het-bench --bin hetctl -- $bad 2>&1); then
+        echo "hetctl $bad exited 0; expected a refusal"
+        exit 1
+    fi
+    case "$out" in
+        *panicked*) echo "hetctl $bad panicked: $out"; exit 1 ;;
+    esac
+done
 
 echo "==> threaded colocate smoke (live trainer + serving fleet on real threads)"
 cargo run -q --release -p het-bench --bin hetctl -- colocate \

@@ -91,6 +91,21 @@ impl Args {
                 .map_err(|_| format!("--{key}: cannot parse '{v}'")),
         }
     }
+
+    /// [`Args::get_parsed`] for a count that must be at least 1: a
+    /// zero is refused here, naming the flag, rather than panicking
+    /// later in a config's asserts or an empty-fleet index.
+    fn get_positive<T: std::str::FromStr + PartialEq + From<u8>>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, String> {
+        let n = self.get_parsed(key, default)?;
+        if n == T::from(0) {
+            return Err(format!("--{key} must be positive"));
+        }
+        Ok(n)
+    }
 }
 
 /// The `--trace OUT.jsonl` / `--trace-chrome OUT.json` flags, handled
@@ -326,8 +341,8 @@ fn dump_fault_plan(args: &Args, plan: &het_simnet::FaultPlan) -> Result<(), Stri
 /// unchanged, so `Trainer::run_threaded` refuses them rather than this
 /// driver silently dropping them.
 fn train_tweak(args: &Args, workers: usize) -> Result<impl Fn(&mut TrainerConfig), String> {
-    let servers: usize = args.get_parsed("servers", 1)?;
-    let dim: usize = args.get_parsed("dim", 16)?;
+    let servers: usize = args.get_positive("servers", 1)?;
+    let dim: usize = args.get_positive("dim", 16)?;
     let iters: u64 = args.get_parsed("iters", 1_600)?;
     let cache_frac: f64 = args.get_parsed("cache-frac", 0.10)?;
     let policy = policy_of(args.get("policy").unwrap_or("lightlfu"))?;
@@ -364,7 +379,7 @@ fn run_one(
     args: &Args,
     traced: bool,
 ) -> Result<(RunSummary, TrainReport, Option<het_trace::TraceLog>), String> {
-    let tweak = train_tweak(args, args.get_parsed("workers", 8)?)?;
+    let tweak = train_tweak(args, args.get_positive("workers", 8)?)?;
     let (report, log) = if traced {
         let (report, log) = run_workload_traced(workload, preset, &tweak);
         (report, Some(log))
@@ -532,21 +547,21 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     use het_serve::{ServeConfig, ServeSim};
 
     let mut cfg = ServeConfig::new(args.get_parsed("seed", 42)?);
-    cfg.n_replicas = args.get_parsed("replicas", cfg.n_replicas)?;
-    cfg.dim = args.get_parsed("dim", cfg.dim)?;
-    cfg.n_fields = args.get_parsed("fields", cfg.n_fields)?;
-    cfg.n_keys = args.get_parsed("keys", cfg.n_keys)?;
-    cfg.cache_capacity = args.get_parsed("cache", cfg.cache_capacity)?;
+    cfg.n_replicas = args.get_positive("replicas", cfg.n_replicas)?;
+    cfg.dim = args.get_positive("dim", cfg.dim)?;
+    cfg.n_fields = args.get_positive("fields", cfg.n_fields)?;
+    cfg.n_keys = args.get_positive("keys", cfg.n_keys)?;
+    cfg.cache_capacity = args.get_positive("cache", cfg.cache_capacity)?;
     cfg.staleness = args.get_parsed("staleness", cfg.staleness)?;
     cfg.policy = policy_of(args.get("policy").unwrap_or("lightlfu"))?;
     cfg.arrival_rate = args.get_parsed("rate", cfg.arrival_rate)?;
     cfg.n_requests = args.get_parsed("requests", cfg.n_requests)?;
     cfg.zipf_exponent = args.get_parsed("zipf", cfg.zipf_exponent)?;
-    cfg.max_batch = args.get_parsed("max-batch", cfg.max_batch)?;
+    cfg.max_batch = args.get_positive("max-batch", cfg.max_batch)?;
     cfg.max_queue_delay = SimDuration::from_micros(args.get_parsed("max-delay-us", 200u64)?);
     cfg.pretrain_updates = args.get_parsed("pretrain-updates", cfg.pretrain_updates)?;
     cfg.warmup_requests = args.get_parsed("warmup", cfg.warmup_requests)?;
-    cfg.n_shards = args.get_parsed("servers", cfg.n_shards)?;
+    cfg.n_shards = args.get_positive("servers", cfg.n_shards)?;
     cfg.store = store_spec_of(args.get("store").unwrap_or("mem"))?;
     let drift_ms: f64 = args.get_parsed("drift-period-ms", 0.0)?;
     if drift_ms > 0.0 {
@@ -706,8 +721,8 @@ fn cmd_colocate(args: &Args) -> Result<(), String> {
     use het_serve::{run_colocated, ServeConfig};
 
     let seed: u64 = args.get_parsed("seed", 42)?;
-    let workers: usize = args.get_parsed("workers", 4)?;
-    let servers: usize = args.get_parsed("servers", 2)?;
+    let workers: usize = args.get_positive("workers", 4)?;
+    let servers: usize = args.get_positive("servers", 2)?;
     let iters: u64 = args.get_parsed("iters", 400)?;
     let staleness: u64 = args.get_parsed("staleness", 10)?;
     let preset = system_of(args.get("system").unwrap_or("het-cache"), staleness)?;
@@ -723,8 +738,8 @@ fn cmd_colocate(args: &Args) -> Result<(), String> {
     // the trainer; shard count is synced inside `run_colocated`.
     let mut serve_cfg = ServeConfig::tiny(seed);
     serve_cfg.dim = train_cfg.dim;
-    serve_cfg.n_replicas = args.get_parsed("replicas", serve_cfg.n_replicas)?;
-    serve_cfg.cache_capacity = args.get_parsed("cache", serve_cfg.cache_capacity)?;
+    serve_cfg.n_replicas = args.get_positive("replicas", serve_cfg.n_replicas)?;
+    serve_cfg.cache_capacity = args.get_positive("cache", serve_cfg.cache_capacity)?;
     serve_cfg.staleness = args.get_parsed("serve-staleness", serve_cfg.staleness)?;
     serve_cfg.policy = policy_of(args.get("policy").unwrap_or("lru"))?;
     serve_cfg.arrival_rate = args.get_parsed("rate", serve_cfg.arrival_rate)?;
@@ -808,8 +823,8 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     use het_serve::{run_chaos, ChaosConfig};
 
     let mut cfg = ChaosConfig::tiny(args.get_parsed("seed", 42)?);
-    cfg.workers = args.get_parsed("workers", cfg.workers)?;
-    cfg.servers = args.get_parsed("servers", cfg.servers)?;
+    cfg.workers = args.get_positive("workers", cfg.workers)?;
+    cfg.servers = args.get_positive("servers", cfg.servers)?;
     cfg.train_iters = args.get_parsed("iters", cfg.train_iters)?;
     cfg.requests = args.get_parsed("requests", cfg.requests)?;
     cfg.arrival_rate = args.get_parsed("rate", cfg.arrival_rate)?;
@@ -1319,6 +1334,56 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("hetctl: {msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(flags: &[&str]) -> Args {
+        let argv: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+        Args::parse(&argv).expect("well-formed flags")
+    }
+
+    /// Each zero count is refused with an error naming its flag, before
+    /// any config assert or empty-fleet index can panic.
+    #[test]
+    fn zero_counts_are_errors_naming_the_flag() {
+        for flag in [
+            "replicas",
+            "cache",
+            "max-batch",
+            "keys",
+            "fields",
+            "dim",
+            "servers",
+        ] {
+            let err = cmd_serve(&args(&[&format!("--{flag}"), "0"]))
+                .expect_err("serve must refuse a zero count");
+            assert!(err.contains(&format!("--{flag}")), "{flag}: {err}");
+        }
+        for flag in ["workers", "servers", "dim"] {
+            let err = run_one(
+                Workload::WdlCriteo,
+                SystemPreset::HetCache { staleness: 100 },
+                &args(&["--iters", "4", &format!("--{flag}"), "0"]),
+                false,
+            )
+            .map(|_| ())
+            .expect_err("train must refuse a zero count");
+            assert!(err.contains(&format!("--{flag}")), "{flag}: {err}");
+        }
+        for flag in ["workers", "servers", "replicas", "cache"] {
+            let err = cmd_colocate(&args(&[&format!("--{flag}"), "0"]))
+                .expect_err("colocate must refuse a zero count");
+            assert!(err.contains(&format!("--{flag}")), "{flag}: {err}");
+        }
+        for flag in ["workers", "servers"] {
+            let err = cmd_chaos(&args(&[&format!("--{flag}"), "0"]))
+                .expect_err("chaos must refuse a zero count");
+            assert!(err.contains(&format!("--{flag}")), "{flag}: {err}");
         }
     }
 }

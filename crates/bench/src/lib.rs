@@ -293,19 +293,6 @@ pub fn run_workload_threaded(
     }
 }
 
-/// The systems compared throughout §5, in the paper's order.
-pub fn evaluated_systems() -> Vec<(&'static str, SystemPreset)> {
-    vec![
-        ("TF PS", SystemPreset::TfPs),
-        ("TF Parallax", SystemPreset::TfParallax),
-        ("HET PS", SystemPreset::HetPs),
-        ("HET AR", SystemPreset::HetAr),
-        ("HET Hybrid", SystemPreset::HetHybrid),
-        ("HET Cache s=10", SystemPreset::HetCache { staleness: 10 }),
-        ("HET Cache s=100", SystemPreset::HetCache { staleness: 100 }),
-    ]
-}
-
 /// Output helpers: experiment JSON lands in `target/experiments/`.
 pub mod out {
     use super::*;

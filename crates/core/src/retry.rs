@@ -25,6 +25,7 @@
 //! integer nanoseconds as `base << a` (exponent clamped at 16), which
 //! reproduces the historical `charge_leg` arithmetic byte-for-byte.
 
+use het_rng::splitmix64;
 use het_simnet::SimDuration;
 
 /// Exponent clamp: beyond this the shift would overflow any practical
@@ -44,13 +45,6 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// Seed of the jitter stream; 0 disables jitter entirely.
     pub jitter_seed: u64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl RetryPolicy {

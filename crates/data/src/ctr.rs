@@ -15,7 +15,7 @@
 use crate::zipf::ZipfSampler;
 use crate::Key;
 use het_rng::rngs::SmallRng;
-use het_rng::SeedableRng;
+use het_rng::{splitmix64, SeedableRng};
 
 /// The per-field vocabulary sizes of the Criteo Kaggle dataset (26
 /// categorical fields) — wildly heterogeneous: a few fields have
@@ -194,15 +194,6 @@ pub struct CtrDataset {
 const FIELD_PERM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 const LABEL_SALT: u64 = 0xD1B5_4A32_D192_ED03;
 const WEIGHT_SALT: u64 = 0x2545_F491_4F6C_DD1D;
-
-/// SplitMix64 — the classic 64-bit finaliser; used to derive per-field
-/// permutations and planted weights from hashes.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 impl CtrDataset {
     /// Builds the dataset (precomputes per-field Zipf CDFs).

@@ -13,7 +13,7 @@
 use crate::Key;
 use het_rng::rngs::SmallRng;
 use het_rng::seq::SliceRandom;
-use het_rng::{Rng, SeedableRng};
+use het_rng::{splitmix64, Rng, SeedableRng};
 
 /// Configuration of the synthetic graph.
 #[derive(Clone, Debug)]
@@ -129,13 +129,6 @@ pub struct Graph {
     labels: Vec<u16>,
     train_nodes: Vec<u32>,
     test_nodes: Vec<u32>,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl Graph {
@@ -342,11 +335,6 @@ impl Graph {
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
         self.config.n_nodes
-    }
-
-    /// Number of (directed) adjacency entries, i.e. 2× undirected edges.
-    pub fn n_adjacency(&self) -> usize {
-        self.neighbors.len()
     }
 
     /// Neighbour list of one node.

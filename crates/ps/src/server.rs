@@ -3,6 +3,7 @@
 use crate::optimizer::ServerOptimizer;
 use crate::sync::RwLock;
 use crate::Key;
+use het_rng::splitmix64;
 use het_store::{RowStore, StoreSpec, StoreStats, StoredRow};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLockReadGuard, RwLockWriteGuard};
@@ -129,13 +130,6 @@ fn clipped<'a>(grad: &'a [f32], clip: Option<f32>, scratch: &'a mut Vec<f32>) ->
     scratch.clear();
     scratch.extend(grad.iter().map(|g| g * scale));
     scratch
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl PsServer {

@@ -19,6 +19,18 @@
 
 use std::ops::Range;
 
+/// The SplitMix64 finaliser as a stateless 64-bit hash: the output a
+/// [`SplitMix64`] seeded with `x` gives on its first step. Used
+/// wherever a value must be a pure function of a key and a salt
+/// (shard routing, planted weights, retry jitter).
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// The raw SplitMix64 generator: one step per `next_u64`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SplitMix64 {
@@ -33,11 +45,9 @@ impl SplitMix64 {
 
     /// Advances the state and returns the next 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
+        let out = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        out
     }
 }
 
@@ -270,6 +280,7 @@ mod tests {
         let mut g = SplitMix64::new(1234567);
         assert_eq!(g.next_u64(), 6457827717110365317);
         assert_eq!(g.next_u64(), 3203168211198807973);
+        assert_eq!(splitmix64(1234567), 6457827717110365317);
     }
 
     #[test]

@@ -189,12 +189,6 @@ impl ServeConfig {
                 self.supervision.miss_threshold > 0,
                 "miss_threshold must be positive"
             );
-            if self.supervision.drift_prefetch {
-                assert!(
-                    self.supervision.drift_window > SimDuration::ZERO,
-                    "drift_window must be positive when drift_prefetch is on"
-                );
-            }
         }
         if self.autoscale.enabled {
             assert!(

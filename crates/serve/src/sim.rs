@@ -172,16 +172,6 @@ pub struct ServeSim<M: EmbeddingModel<Batch = CtrBatch>> {
     /// Live popularity sketch over arrived request keys, used to warm
     /// respawned and newly admitted replicas.
     sketch: Option<SpaceSaving>,
-    /// Short-window popularity sketch for drift-triggered respawn
-    /// prefetch; `None` unless `supervision.drift_prefetch`.
-    recent_sketch: Option<SpaceSaving>,
-    /// The previous full short window, so a rotation boundary never
-    /// blinds the drift detector.
-    prev_sketch: Option<SpaceSaving>,
-    /// Start of the current short window.
-    recent_since: SimTime,
-    /// Keys installed by drift-triggered respawn prefetch.
-    drift_prefetched: u64,
     served_total: u64,
     respawns: u64,
     retry_waits: u64,
@@ -291,11 +281,6 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             down: vec![false; fleet],
             ever_admitted: (0..fleet).map(|r| r < cfg.n_replicas).collect(),
             sketch: supervised.then(|| SpaceSaving::new(cfg.cache_capacity)),
-            recent_sketch: (supervised && cfg.supervision.drift_prefetch)
-                .then(|| SpaceSaving::new(cfg.cache_capacity)),
-            prev_sketch: None,
-            recent_since: SimTime::ZERO,
-            drift_prefetched: 0,
             control,
             replicas,
             plan,
@@ -541,30 +526,6 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
                 self.apply_supervised_crashes(r, t, ctx);
             }
         }
-        // Rotate the drift detector's short window on heartbeat ticks;
-        // each completed window triggers a prefetch round that installs
-        // its newly-hot keys into every live admitted replica.
-        let mut rotated = false;
-        if let Some(recent) = self.recent_sketch.as_mut() {
-            if t.since(self.recent_since) >= self.cfg.supervision.drift_window {
-                let fresh = SpaceSaving::new(self.cfg.cache_capacity);
-                self.prev_sketch = Some(std::mem::replace(recent, fresh));
-                self.recent_since = t;
-                rotated = true;
-            }
-        }
-        if rotated {
-            let live: Vec<usize> = {
-                let cp = self.control.as_ref().expect("heartbeat implies control");
-                let cp = cp.borrow();
-                (0..self.replicas.len())
-                    .filter(|&r| cp.admitted[r] && !self.down[r])
-                    .collect()
-            };
-            for r in live {
-                self.prefetch_drifted(r, t);
-            }
-        }
         let done = self.served_total == self.requests.len() as u64;
         let cp = self.control.clone().expect("heartbeat implies control");
         {
@@ -623,17 +584,13 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         self.down[r] = false;
         self.replicas[r].busy_until = self.replicas[r].busy_until.max(t);
         let warmed = self.warm_one_from_sketch(r);
-        let prefetched = self.prefetch_drifted(r, t);
         self.respawns += 1;
         het_trace::emit_at(
             "serve",
             "replica_respawn",
             t.as_nanos(),
             None,
-            vec![
-                ("keys_warmed", het_trace::Value::from(warmed)),
-                ("keys_prefetched", het_trace::Value::from(prefetched)),
-            ],
+            vec![("keys_warmed", het_trace::Value::from(warmed))],
         );
     }
 
@@ -677,71 +634,6 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         self.server.reclassify_pending_io();
         het_trace::counter_add("serve", "warmed_keys", top.len() as u64);
         top.len() as u64
-    }
-
-    /// Drift-triggered prefetch into replica `r`: pulls the keys that
-    /// are hot in the *recent* window (plus the previous one, so a
-    /// rotation boundary never blinds it) but not resident — exactly
-    /// the hot-set drift a snapshot-warmed cache lags behind — and
-    /// lands them as prefetched entries, so their first hits show up in
-    /// `prefetch_hits`. Runs on every window rotation for live admitted
-    /// replicas and once more inside a supervised respawn, right after
-    /// the lifetime-sketch warmup. Capped at a quarter of the cache per
-    /// round so a mistaken drift signal cannot flush the resident hot
-    /// set. Returns the number of keys installed.
-    fn prefetch_drifted(&mut self, r: usize, t: SimTime) -> u64 {
-        if !self.cfg.supervision.drift_prefetch {
-            return 0;
-        }
-        het_trace::set_scope(t.as_nanos(), Some((self.member_offset + r) as u64));
-        let mut candidates: Vec<Key> = Vec::new();
-        for sketch in [self.recent_sketch.as_ref(), self.prev_sketch.as_ref()]
-            .into_iter()
-            .flatten()
-        {
-            for (k, _) in sketch.top(self.cfg.cache_capacity) {
-                if !candidates.contains(&k) {
-                    candidates.push(k);
-                }
-            }
-        }
-        // The budget also bounds the *total* staging region: pins from
-        // earlier rotations that never hit count against it, so a churny
-        // workload cannot accumulate unconsumed pins without limit.
-        let replica = &mut self.replicas[r];
-        let budget = ((self.cfg.cache_capacity / 4).max(1) as u64)
-            .saturating_sub(replica.core.client.cache().pinned_len() as u64);
-        let mut installed = 0u64;
-        for k in candidates {
-            if installed == budget {
-                break;
-            }
-            if replica.core.client.cache().find(k) {
-                continue;
-            }
-            let pulled = self.server.pull(k);
-            let displaced =
-                replica
-                    .core
-                    .client
-                    .cache_mut()
-                    .install_prefetched(k, pulled.vector, pulled.clock);
-            debug_assert!(
-                displaced.is_none(),
-                "read-only caches hold no dirty entries"
-            );
-            installed += 1;
-        }
-        // Drift prefetch is asynchronous background work; its cold
-        // fetches hide behind serving, like the trainer's prefetcher.
-        self.server.reclassify_pending_io();
-        if installed > 0 {
-            self.drift_prefetched += installed;
-            het_trace::event!("serve", "drift_prefetch",
-                "replica" => r, "keys" => installed);
-            het_trace::count!("serve", "drift_prefetched_keys", installed);
-        }
-        installed
     }
 
     fn execute_batch(&mut self, r: usize, t: SimTime, ctx: &mut Ctx<'_>) {
@@ -987,7 +879,6 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             infer_ns: self.infer_ns,
             cache,
             warmed_keys: self.warmed_keys,
-            drift_prefetched_keys: self.drift_prefetched,
             pretrain_updates: self.pretrained,
             score_mean: if self.score_count > 0 {
                 self.score_sum / self.score_count as f64
@@ -1020,11 +911,6 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> Process for ServeSim<M> {
                 if let Some(sketch) = self.sketch.as_mut() {
                     for &k in &self.requests[i as usize].keys {
                         sketch.observe(k);
-                    }
-                }
-                if let Some(recent) = self.recent_sketch.as_mut() {
-                    for &k in &self.requests[i as usize].keys {
-                        recent.observe(k);
                     }
                 }
                 let r = self.route();

@@ -51,20 +51,6 @@ pub struct SupervisionConfig {
     pub checkpoint_every: SimDuration,
     /// Optional live PS-shard split driven by the supervisor.
     pub reshard: Option<ReshardPlan>,
-    /// Drift-triggered serving prefetch. A sketch-warmed cache only
-    /// covers the popularity snapshot at warmup time — under a drifting
-    /// hot set the keys that become hot *afterwards* all cold-miss,
-    /// and a freshly respawned replica pays that gap exactly when its
-    /// held-back queue needs it least. When enabled, the fleet keeps a
-    /// short-window popularity sketch (rotated every
-    /// [`SupervisionConfig::drift_window`]); each completed window
-    /// triggers prefetch pulls of its newly-hot keys into every live
-    /// admitted replica, and a supervised respawn runs one extra round
-    /// right after its lifetime-sketch warmup.
-    pub drift_prefetch: bool,
-    /// Rotation period of the short-window sketch that defines
-    /// "recently hot" for [`SupervisionConfig::drift_prefetch`].
-    pub drift_window: SimDuration,
 }
 
 impl SupervisionConfig {
@@ -77,8 +63,6 @@ impl SupervisionConfig {
             retry: RetryPolicy::exponential(SimDuration::from_micros(200), 8),
             checkpoint_every: SimDuration::from_millis(5),
             reshard: None,
-            drift_prefetch: false,
-            drift_window: SimDuration::from_millis(1),
         }
     }
 }

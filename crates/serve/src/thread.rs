@@ -35,9 +35,8 @@
 //! count, batch accounting, score sanity — in `tests/parallel.rs`.
 //!
 //! Features that are inherently schedule-scripted — fault injection,
-//! heartbeat supervision, autoscaling, drift-triggered prefetch — are
-//! rejected with an error pointing back at `--backend sim` rather than
-//! silently ignored.
+//! heartbeat supervision, autoscaling — are rejected with an error
+//! pointing back at `--backend sim` rather than silently ignored.
 
 use crate::config::ServeConfig;
 use crate::sim::ReplicaCore;

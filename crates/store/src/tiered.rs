@@ -93,11 +93,6 @@ impl TieredStore {
         self.cold.index_fingerprint()
     }
 
-    /// Forces a cold-tier compaction pass regardless of garbage ratio.
-    pub fn force_compact(&mut self) {
-        self.cold.compact().expect("cold tier I/O failed");
-    }
-
     /// Evicts until the hot tier has room for one more row.
     fn make_room(&mut self) {
         while self.hot.len() >= self.capacity {

@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 /// | `client`  | events: `read_window` (staleness-validation outcome per read) |
 /// | `prefetcher` | events: `prefetch_issue` (span: lookahead pull in flight), `prefetch_install` (results landed in a worker cache, with waited_ns), `prefetch_hit` (reads served by unconsumed prefetches), `prefetch_waste`, `prefetch_cancel` (crash/outage invalidation); counters: issued_keys, cancelled_keys (per worker) |
 /// | `ps`      | events: `failover`; counters: pulls, pushes (per shard) |
-/// | `serve`   | events: `request`, `batch`, `lookup`, `infer`, `replica_crash`, `replica_respawn`, `replica_admit`, `retry_wait`, `drift_prefetch` (respawn prefetch of recently-hot keys); counters: requests, batches, queue_wait_ns, lookup_ns, infer_ns, degraded_reads, warmed_keys, drift_prefetched_keys, retry_waits (per replica) |
+/// | `serve`   | events: `request`, `batch`, `lookup`, `infer`, `replica_crash`, `replica_respawn`, `replica_admit`, `retry_wait`; counters: requests, batches, queue_wait_ns, lookup_ns, infer_ns, degraded_reads, warmed_keys, retry_waits (per replica) |
 /// | `simnet`  | events: link/fault schedule milestones |
 /// | `store`   | counters: hot_hits, promotions, demotions, clean_drops, cold_read_bytes, cold_write_bytes, compactions (per PS shard; emitted only when a shard runs the tiered store, so flat-store traces are unchanged) |
 /// | `supervisor` | events: `detect_crash`, `respawn`, `detect_outage`, `shard_restored`, `split_begin`, `migrate`, `split_done` (failure detection + driven recovery + live resharding); counters: heartbeats, detections, respawns, migrated_keys |

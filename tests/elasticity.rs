@@ -110,72 +110,6 @@ fn supervised_recovery_is_byte_identical_across_runs() {
     trace::schema::validate_jsonl(&log_a.to_jsonl()).expect("supervised trace is schema-valid");
 }
 
-/// The cold-start gap supervised respawns left open: the respawned
-/// cache is warmed from the *lifetime* popularity sketch, which lags a
-/// drifting hot set — the replica comes back resident in yesterday's
-/// keys and cold-misses the traffic it is about to serve. Drift-
-/// triggered respawn prefetch (`supervision.drift_prefetch`) follows
-/// the warmup with prefetch pulls for recently-hot keys it missed, so
-/// the post-respawn tail must be no worse than warmup-only recovery.
-#[test]
-fn drift_prefetch_closes_the_post_respawn_cold_start_gap() {
-    let run = |prefetch: bool| {
-        let mut cfg = supervised_cfg(96);
-        cfg.n_requests = 800;
-        // Brisk hot-set drift: by the 10 ms crash the hot set has
-        // rotated far from the distribution startup traffic taught the
-        // lifetime sketch.
-        cfg.drift_period = SimDuration::from_millis(2);
-        cfg.drift_step = 40;
-        cfg.supervision.drift_prefetch = prefetch;
-        cfg.supervision.drift_window = SimDuration::from_millis(1);
-        run_with_plan(cfg, crash_plan())
-    };
-    let warm_only = run(false);
-    let prefetched = run(true);
-    for (name, r) in [("warmup-only", &warm_only), ("prefetched", &prefetched)] {
-        assert_eq!(r.requests, 800, "{name} run dropped requests");
-        assert_eq!(r.respawns, 1, "{name} run must respawn exactly once");
-    }
-    assert_eq!(
-        warm_only.drift_prefetched_keys, 0,
-        "drift prefetch off must stay prefetch-silent"
-    );
-    assert_eq!(warm_only.cache.prefetch_installs, 0);
-    assert!(
-        prefetched.drift_prefetched_keys > 0,
-        "drift prefetch never engaged"
-    );
-    assert_eq!(
-        prefetched.cache.prefetch_installs, prefetched.drift_prefetched_keys,
-        "every prefetch install must come from the drift path"
-    );
-    assert!(
-        prefetched.cache.prefetch_hits > 0,
-        "no prefetched key ever served a read"
-    );
-    assert!(
-        prefetched.latency_p99_ns <= warm_only.latency_p99_ns,
-        "post-respawn p99 with drift prefetch ({} ns) must not exceed warmup-only ({} ns)",
-        prefetched.latency_p99_ns,
-        warm_only.latency_p99_ns
-    );
-    // The effect concentrates on the crashed replica's own tail.
-    assert!(
-        prefetched.replicas[0].p99_ns <= warm_only.replicas[0].p99_ns,
-        "crashed replica's p99 with drift prefetch ({} ns) must not exceed warmup-only ({} ns)",
-        prefetched.replicas[0].p99_ns,
-        warm_only.replicas[0].p99_ns
-    );
-    // Byte-determinism holds with the drift prefetcher on.
-    let again = run(true);
-    assert_eq!(
-        prefetched.to_json().encode(),
-        again.to_json().encode(),
-        "same-seed drift-prefetch reports diverged"
-    );
-}
-
 /// A live split moves real keys between shards mid-serving, yet every
 /// served score is bit-identical to the unsplit run: resharding is
 /// invisible to correctness, visible only to placement.
